@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Cochain, LieRinehartData, differential
@@ -41,10 +42,13 @@ class SliceWindow:
     buffer: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
-        if self.buffer is not None and self.buffer < 0:
-            raise ValueError("buffer must be nonnegative")
+        # the one rule for window values, from the API and from documents;
+        # bool is an int subclass but never a degree
+        for name, value in (("max_degree", self.max_degree), ("buffer", self.buffer)):
+            if value is None and name == "buffer":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"'{name}' must be a nonnegative integer")
 
     def resolve_buffer(self, data: LieRinehartData) -> int:
         if self.buffer is not None:
@@ -88,8 +92,63 @@ def vector_to_cochain(vec: Vector, k: int, data: LieRinehartData) -> Cochain:
                    {t: Poly(data.nvars, terms) for t, terms in comps.items()})
 
 
-def _column(data: LieRinehartData, key: Key) -> Vector:
-    return cochain_to_vector(differential(data, basis_cochain(data, key)))
+class Stencil:
+    """The differential on k-cochains, compiled for monomial basis cochains.
+
+    The differential is first order in the coefficient of a cochain:
+    d(f e_T)_U = sum_j a_{U,j} df/dx_j + b_U f.  Both parts are read off
+    the generic engine, b = d(1 e_T) and a_{., j} = d(x_j e_T) - x_j b,
+    so nothing is written out by hand.  A term (j, U, shifts) stores, for
+    each monomial of a_{U,j} (j None: of b_U), the exponent and degree
+    shift it applies to the source monomial with its coefficient; a
+    column is then a loop over terms into the sparse vector.
+    """
+
+    def __init__(self, data: LieRinehartData, k: int):
+        self.terms: dict[tuple[int, ...], list] = {}
+        n = data.nvars
+        one = Poly.const(n, 1)
+        for tup in combinations(range(data.r), k):
+            b = differential(data, Cochain(k, data.r, n, {tup: one}))
+            terms = [(None, target, _shifts(poly, None))
+                     for target, poly in b.comps.items()]
+            for j in range(n):
+                xj = Poly.variable(n, j)
+                dxj = differential(data, Cochain(k, data.r, n, {tup: xj}))
+                for target in sorted(set(dxj.comps) | set(b.comps)):
+                    a = dxj.component(target) - xj * b.component(target)
+                    if a:
+                        terms.append((j, target, _shifts(a, j)))
+            self.terms[tup] = terms
+
+    def column(self, key: Key) -> Vector:
+        """Coordinates of d(x^m e_T) for the basis key (deg m, T, m)."""
+        deg, tup, mono = key
+        vec: dict = {}
+        get = vec.get
+        for j, target, shifts in self.terms[tup]:
+            if j is None:
+                scale = 1
+            else:
+                scale = mono[j]
+                if not scale:
+                    continue
+            for shift, dshift, coeff in shifts:
+                at = (deg + dshift, target, tuple(map(add, mono, shift)))
+                vec[at] = get(at, 0) + (coeff if scale == 1 else coeff * scale)
+        return {at: c for at, c in vec.items() if c}
+
+
+def _shifts(poly: Poly, j: Optional[int]) -> tuple:
+    # (exponent shift, degree shift, coefficient) per monomial; a term
+    # with j also divides by x_j, which the source's x_j^(m_j) absorbs
+    out = []
+    for mono, coeff in poly.terms.items():
+        shift = list(mono)
+        if j is not None:
+            shift[j] -= 1
+        out.append((tuple(shift), sum(shift), coeff))
+    return tuple(out)
 
 
 def _scale_primitive(vec: Vector) -> Vector:
@@ -168,69 +227,43 @@ def slice_matrix(data: LieRinehartData, k: int, source_degree: int) -> SliceMatr
     """Matrix of the differential from k-cochains of degree <= source_degree;
     target coefficients live in degree <= source_degree + shift."""
     keys = cochain_basis_keys(data, k, source_degree)
-    cols = {key: _column(data, key) for key in keys}
+    stencil = Stencil(data, k)
+    cols = {key: stencil.column(key) for key in keys}
     return SliceMatrix(k, source_degree, data.degree_shift(), keys, cols)
 
 
-def _kernel_cumulative(data: LieRinehartData, k: int, max_degree: int) -> list[int]:
-    """dim(ker d^k intersect F_d) for d = 0..max_degree.
+def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
+                   image_limits: Sequence[int] = ()) -> tuple[list[int], list[list[int]]]:
+    """One elimination of d^k, its columns fed in degree order.
 
-    Restricting the differential to sources of degree <= d just selects
-    columns, so the kernel dimension is columns minus incremental rank.
+    Returns dim(ker d^k meet F_d) for d = 0..max_degree and, for each
+    source limit L in image_limits, dim(im meet F_d) for d = 0..max_degree
+    where the image is spanned by the sources of degree <= L.  Restricting
+    the sources to F_d just selects columns, so the kernel is columns
+    minus rank after degree d.  Pivoting at the largest
+    (degree-compatible) key makes the span readable per degree: its
+    intersection with F_d has one basis row per pivot of degree <= d.
     """
+    stencil = Stencil(data, k)
     ech = Echelon()
-    sources = 0
-    out = []
-    keys = cochain_basis_keys(data, k, max_degree)
+    pivots = [0] * (max_degree + 1)
+    kernel: list[int] = []
+    images: dict[int, list[int]] = {}
+    top = max((max_degree, *image_limits))
+    keys = cochain_basis_keys(data, k, top)
     pos = 0
-    for d in range(max_degree + 1):
+    for d in range(top + 1):
         while pos < len(keys) and keys[pos][0] == d:
-            ech.insert(_column(data, keys[pos]))
-            sources += 1
+            column = stencil.column(keys[pos])
             pos += 1
-        out.append(sources - ech.rank)
-    return out
-
-
-def _image_cumulative(data: LieRinehartData, k: int, max_degree: int,
-                      buffers: Sequence[int]) -> dict[int, list[int]]:
-    """dim(im d^{k-1} intersect F_d) for d = 0..max_degree, for each of
-    the given source buffers, from a single elimination pass.
-
-    Pivoting at the largest (degree-compatible) key makes the span of the
-    processed columns readable per degree: the intersection with F_d has
-    one basis row per pivot of degree <= d.
-    """
-    buffers = sorted(set(buffers))
-    if k == 0:
-        return {b: [0] * (max_degree + 1) for b in buffers}
-    ech = Echelon()
-    pivot_degrees: list[int] = []
-    results: dict[int, list[int]] = {}
-
-    def snapshot() -> list[int]:
-        counts = [0] * (max_degree + 1)
-        for pd in pivot_degrees:
-            if pd <= max_degree:
-                counts[pd] += 1
-        total = 0
-        out = []
-        for d in range(max_degree + 1):
-            total += counts[d]
-            out.append(total)
-        return out
-
-    keys = cochain_basis_keys(data, k - 1, max_degree + buffers[-1])
-    pos = 0
-    for b in buffers:
-        limit = max_degree + b
-        while pos < len(keys) and keys[pos][0] <= limit:
-            piv = ech.insert(_column(data, keys[pos]))
-            if piv is not None:
-                pivot_degrees.append(piv[0])
-            pos += 1
-        results[b] = snapshot()
-    return results
+            piv = ech.insert(column) if column else None
+            if piv is not None and piv[0] <= max_degree:
+                pivots[piv[0]] += 1
+        if d <= max_degree:
+            kernel.append(pos - ech.rank)
+        if d in image_limits:
+            images[d] = list(accumulate(pivots))
+    return kernel, [images[limit] for limit in image_limits]
 
 
 @dataclass(frozen=True)
@@ -249,21 +282,19 @@ def cohomology_dims(data: LieRinehartData, k: int, window: SliceWindow) -> list[
     the image uses sources up to D + buffer.  An entry is flagged
     stabilized when it is unchanged under buffer + 1.
     """
-    if not 0 <= k <= data.r:
-        raise ValueError(f"cochain degree {k} outside 0..{data.r}")
-    D = window.max_degree
-    buffer = window.resolve_buffer(data)
-    ker = _kernel_cumulative(data, k, D)
-    images = _image_cumulative(data, k, D, [buffer, buffer + 1])
+    return list(compute_table(data, [k], window).rows[k])
+
+
+def _degree_rows(kernel: list[int], image: list[int],
+                 wider: list[int]) -> tuple[DegreeDim, ...]:
     rows = []
-    prev = {buffer: 0, buffer + 1: 0}
-    for d in range(D + 1):
-        cum = {b: ker[d] - images[b][d] for b in prev}
-        dim = {b: cum[b] - prev[b] for b in prev}
-        rows.append(DegreeDim(d, dim[buffer], cum[buffer],
-                              dim[buffer] == dim[buffer + 1]))
-        prev = cum
-    return rows
+    prev = prev_wider = 0
+    for d, ker in enumerate(kernel):
+        cum, cum_wider = ker - image[d], ker - wider[d]
+        dim = cum - prev
+        rows.append(DegreeDim(d, dim, cum, dim == cum_wider - prev_wider))
+        prev, prev_wider = cum, cum_wider
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -291,9 +322,24 @@ class CohomologyTable:
 
 def compute_table(data: LieRinehartData, ks: Iterable[int],
                   window: SliceWindow) -> CohomologyTable:
+    """Filtered cohomology for each k in ks, eliminating every
+    differential involved once: d^k gives the kernel at k and the image
+    at k + 1."""
+    ks = sorted(set(ks))
+    for k in ks:
+        if not 0 <= k <= data.r:
+            raise ValueError(f"cochain degree {k} outside 0..{data.r}")
+    D = window.max_degree
     buffer = window.resolve_buffer(data)
-    rows = {k: tuple(cohomology_dims(data, k, window)) for k in ks}
-    return CohomologyTable(data.name or "complex", window.max_degree, buffer, rows)
+    limits = (D + buffer, D + buffer + 1)
+    passes = {j: _filtered_pass(data, j, D, limits if j + 1 in ks else ())
+              for j in sorted(set(ks) | {k - 1 for k in ks if k})}
+    no_image = [0] * (D + 1)
+    rows = {}
+    for k in ks:
+        image, wider = passes[k - 1][1] if k else (no_image, no_image)
+        rows[k] = _degree_rows(passes[k][0], image, wider)
+    return CohomologyTable(data.name or "complex", D, buffer, rows)
 
 
 @dataclass(frozen=True)
@@ -377,11 +423,14 @@ def find_primitive(data: LieRinehartData, cochain: Cochain,
         return Cochain.zero(k - 1, data.r, data.nvars)
     D = window.max_degree
     buffer = window.resolve_buffer(data)
+    stencil = Stencil(data, k - 1)
     ech = _TrackingEchelon()
     for key in cochain_basis_keys(data, k - 1, D + buffer):
-        ech.insert(_column(data, key), {key: Fraction(1)})
+        ech.insert(stencil.column(key), {key: Fraction(1)})
     residual, combo = ech.reduce(target, {})
     if residual:
         return None
-    witness: Vector = {key: -c for key, c in combo.items()}
-    return vector_to_cochain(witness, k - 1, data)
+    witness = vector_to_cochain({key: -c for key, c in combo.items()}, k - 1, data)
+    if differential(data, witness) != cochain:
+        raise AssertionError("primitive verification failed: d(witness) != cochain")
+    return witness

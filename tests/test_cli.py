@@ -2,11 +2,12 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from logpoisson import cli
+from logpoisson.cohomology import SliceWindow
 from logpoisson.poly import parse_poly
 
 EX1 = {
@@ -246,3 +247,65 @@ def test_k_range_parsing():
     assert cli.parse_k_range("0,2", 3) == [0, 2]
     with pytest.raises(cli.SpecError):
         cli.parse_k_range("a..b", 3)
+    with pytest.raises(cli.SpecError, match=r"0\.\.3"):
+        cli.parse_k_range("0..9", 3)
+    with pytest.raises(cli.SpecError):
+        cli.parse_k_range("-1", 3)
+    # only the ends of a range are inspected, so a huge one fails at once
+    with pytest.raises(cli.SpecError):
+        cli.parse_k_range("0..1000000000000", 3)
+
+
+# -- rejected input: exit code 2 with a message, never a traceback -----------
+
+
+def run_main_err(args, doc, tmp_path):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_main(args, doc, tmp_path)
+    return code, out, err.getvalue()
+
+
+def test_cohomology_k_beyond_basis_is_rejected(tmp_path):
+    code, out, err = run_main_err(["cohomology", "--k", "0..9"], EX1, tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert out == ""
+    assert "0..2" in err
+
+
+def test_prequantize_one_variable_is_rejected(tmp_path):
+    doc = {"variables": ["x"], "bracket": {}, "log_generators": ["x"]}
+    code, out, err = run_main_err(["prequantize"], doc, tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert out == ""
+    assert "at least two variables" in err
+
+
+@pytest.mark.parametrize("command", ["cohomology", "compare", "prequantize"])
+@pytest.mark.parametrize("flag", ["--max-degree", "--buffer"])
+def test_negative_window_flags_are_rejected(tmp_path, command, flag):
+    code, out, err = run_main_err([command, flag, "-1"], EX1, tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert out == ""
+    assert "nonnegative integer" in err
+
+
+@pytest.mark.parametrize("field", ["max_degree", "buffer"])
+@pytest.mark.parametrize("value", [True, False, -1, 2.0, "3"])
+def test_window_fields_must_be_plain_integers(tmp_path, field, value):
+    doc = dict(EX1, **{field: value})
+    with pytest.raises(cli.SpecError, match=field):
+        cli.parse_spec(json.dumps(doc))
+    code, out, err = run_main_err(["cohomology"], doc, tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert field in err
+
+
+def test_window_values_share_one_rule():
+    # the document check and the library window reject the same values
+    for value in (True, -1, 2.5):
+        with pytest.raises(ValueError):
+            SliceWindow(value)
+        with pytest.raises(ValueError):
+            SliceWindow(4, value)
+    assert SliceWindow(0, 0).buffer == 0

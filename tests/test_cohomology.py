@@ -4,12 +4,17 @@ values frozen from the oracle runs."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
+from logpoisson import cohomology
 from logpoisson.cohomology import (
     CohomologyTable,
     SliceWindow,
+    Stencil,
+    basis_cochain,
     cochain_basis_keys,
+    cochain_to_vector,
     cohomology_dims,
     compare_tables,
     compute_table,
@@ -26,7 +31,7 @@ from logpoisson.complexes import (
     poisson_complex,
     two_form_cochain,
 )
-from logpoisson.poisson import LogDivisorSpec, PoissonStructure
+from logpoisson.poisson import LogDivisorSpec, PoissonStructure, is_log_principal
 from logpoisson.poly import Poly, parse_poly
 
 XY = ["x", "y"]
@@ -83,6 +88,98 @@ def test_slice_matrix_empty():
     L = log_poisson_complex(P, B)
     m = slice_matrix(L, 3, 4)  # k beyond the basis size
     assert m.source_keys == [] and m.rank() == 0
+    assert Stencil(L, 3).terms == {}
+
+
+# -- the compiled stencil against the generic differential -----------------
+
+
+def assert_stencil_matches_engine(L, max_degree):
+    """Every column of every d^k up to max_degree, against a full
+    application of the generic differential to the basis cochain."""
+    for k in range(L.r + 1):
+        stencil = Stencil(L, k)
+        for key in cochain_basis_keys(L, k, max_degree):
+            generic = cochain_to_vector(differential(L, basis_cochain(L, key)))
+            assert stencil.column(key) == generic, (L.name, k, key)
+
+
+def worked_complexes():
+    for P, B in (setup_x(), setup_x2(), setup_xyz()):
+        yield from (log_poisson_complex(P, B), poisson_complex(P), log_derham_complex(B))
+
+
+def test_stencil_columns_match_engine_on_worked_structures():
+    for L in worked_complexes():
+        assert_stencil_matches_engine(L, 4 if L.nvars == 2 else 3)
+
+
+def test_stencil_is_read_off_the_engine(monkeypatch):
+    # d^k is compiled from nvars + 1 applications per index tuple, and a
+    # column is built without further calls
+    P, B = setup_xyz()
+    L = log_poisson_complex(P, B)
+    calls = []
+    original = cohomology.differential
+
+    def counted(data, cochain):
+        calls.append(cochain.k)
+        return original(data, cochain)
+
+    monkeypatch.setattr(cohomology, "differential", counted)
+    stencil = Stencil(L, 1)
+    assert calls == [1] * 3 * (L.nvars + 1)
+    for key in cochain_basis_keys(L, 1, 3):
+        stencil.column(key)
+    assert len(calls) == 3 * (L.nvars + 1)
+
+
+def polys(nvars, max_exp=2, max_terms=4):
+    """Sparse polynomials with small integer coefficients."""
+    mono = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    coeff = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(mono, coeff, max_size=max_terms).map(
+        lambda terms: Poly(nvars, terms))
+
+
+def generated_complexes(P, divisor):
+    """The Poisson complex of P, and both log complexes when P is
+    principal logarithmic along the divisor (checked, not assumed)."""
+    yield poisson_complex(P)
+    spec = LogDivisorSpec.normalize(divisor)
+    assert is_log_principal(P, spec).ok
+    B = basis_for(P, spec)
+    yield log_poisson_complex(P, B)
+    yield log_derham_complex(B)
+
+
+@settings(max_examples=12, deadline=None)
+@given(f=polys(2))
+def test_stencil_matches_engine_on_any_plane_bracket(f):
+    # every bracket {x,y} = f of two variables is Poisson; x*f is also
+    # principal logarithmic along x
+    x = Poly.variable(2, 0)
+    assert_stencil_matches_engine(poisson_complex(PoissonStructure(XY, {(0, 1): f})), 4)
+    P = PoissonStructure(XY, {(0, 1): x * f})
+    for L in generated_complexes(P, [x]):
+        assert_stencil_matches_engine(L, 3)
+
+
+def jacobian_structure(phi):
+    # {x_i, x_j} = eps_ijk dphi/dx_k is Poisson for every phi
+    return PoissonStructure(XYZ, {(0, 1): phi.partial(2), (1, 2): phi.partial(0),
+                                  (0, 2): -phi.partial(1)})
+
+
+@settings(max_examples=8, deadline=None)
+@given(h=polys(3, max_exp=1, max_terms=3))
+def test_stencil_matches_engine_on_jacobian_brackets(h):
+    # with phi = x*h every bracket with x is a multiple of x
+    x = Poly.variable(3, 0)
+    P = jacobian_structure(x * h)
+    assert not P.jacobi_failures()
+    for L in generated_complexes(P, [x]):
+        assert_stencil_matches_engine(L, 2)
 
 
 def test_rank_nullity_against_dense_oracle():
@@ -202,8 +299,6 @@ def test_image_inside_kernel_per_window():
     for P, B in (setup_x(), setup_x2()):
         L = log_poisson_complex(P, B)
         for key in cochain_basis_keys(L, 0, 6):
-            from logpoisson.cohomology import basis_cochain
-
             c = basis_cochain(L, key)
             assert differential(L, differential(L, c)).is_zero()
         rows1 = cohomology_dims(L, 1, SliceWindow(5))
@@ -256,6 +351,22 @@ def test_find_primitive_first_structure():
     witness = find_primitive(L, pi, SliceWindow(8))
     assert witness is not None
     assert differential(L, witness) == pi
+
+
+def test_find_primitive_verifies_its_witness(monkeypatch):
+    # a corrupted combination record yields a wrong witness; the solver
+    # must catch it instead of returning it
+    P, B = setup_x()
+    L = log_poisson_complex(P, B)
+    pi = two_form_cochain(P, B)
+    original = cohomology._TrackingEchelon.insert
+
+    def corrupted(self, vec, combo):
+        return original(self, vec, {key: 2 * c for key, c in combo.items()})
+
+    monkeypatch.setattr(cohomology._TrackingEchelon, "insert", corrupted)
+    with pytest.raises(AssertionError, match="verification"):
+        find_primitive(L, pi, SliceWindow(8))
 
 
 def test_find_primitive_zero_cochain():
