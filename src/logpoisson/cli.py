@@ -13,7 +13,8 @@ A problem document is a single JSON object:
 Bracket keys name unordered generator pairs ("x,y" and "y,x" denote the
 same pair; the value is the bracket of the named variables in the order
 written).  Omitted pairs are zero.  Exit codes: 0 success, 1 check
-failure, 2 parse error, 3 internal invariant violation.
+failure, 2 parse error or a window past the basis limit, 3 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Optional, Sequence
 from .cohomology import (
     CohomologyTable,
     SliceWindow,
+    WindowTooLarge,
     compare_tables,
     compute_table,
     find_primitive,
@@ -429,16 +431,9 @@ def run_prequantize(spec: ProblemSpec, window: SliceWindow) -> PrequantReport:
     if len(spec.variables) < 2:
         raise SpecError("prequantize needs at least two variables: the"
                         " curvature is a two-cochain")
+    data = build_complex(spec, "log-poisson")
     structure = spec.structure()
-    divisor = spec.divisor()
-    if divisor is None:
-        raise CheckFailure("prequantize needs log_generators in the problem document")
-    if structure.jacobi_failures():
-        raise CheckFailure("the bracket table violates the Jacobi identity")
-    if not is_log_principal(structure, divisor).ok:
-        raise CheckFailure("the bracket is not principal logarithmic along the divisor")
-    basis = basis_for(structure, divisor)
-    data = log_poisson_complex(structure, basis)
+    basis = basis_for(structure, spec.divisor())
     names = list(spec.variables)
     labels = basis.labels(names)
     pi = two_form_cochain(structure, basis)
@@ -620,7 +615,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         raise SpecError(f"unknown command {args.command!r}")
-    except (SpecError, ParseError, OSError) as err:
+    except (SpecError, ParseError, OSError, WindowTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except CheckFailure as err:

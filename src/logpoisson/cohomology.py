@@ -7,10 +7,12 @@ not graded, so images are computed from sources up to degree D + buffer
 and then intersected with F_d by exact row reduction; a stabilization
 flag records whether an entry survives enlarging the buffer.
 
-All elimination is exact.  Sparse vectors are keyed by
-(degree, component tuple, monomial), so the natural tuple order is
-degree-compatible and "reduce at the largest key" yields a basis whose
-pivot degrees read off the filtered intersection dimensions.
+All elimination is exact and fraction-free.  Sparse integer vectors are
+keyed by (degree, component tuple, monomial), so the natural tuple order
+is degree-compatible and "reduce at the largest key" yields a basis
+whose pivot degrees read off the filtered intersection dimensions.
+Columns are integer multiples of the differential's columns; a nonzero
+multiple spans the same line, so no rank or pivot changes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import gcd
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -28,6 +30,16 @@ from .poly import Poly, monomials_of_degree
 # a coordinate of the sliced cochain space
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 Vector = dict[Key, Fraction]
+IntVector = dict[Key, int]
+
+# The most basis cochains one elimination may take.  The windows of the
+# tests, demos and benchmark need at most a few thousand; a far larger
+# window would exhaust memory on its key list before the first column.
+MAX_BASIS_SIZE = 100_000
+
+
+class WindowTooLarge(ValueError):
+    """A window whose cochain basis exceeds MAX_BASIS_SIZE."""
 
 
 @dataclass(frozen=True)
@@ -56,10 +68,23 @@ class SliceWindow:
         return max(data.degree_shift(), 0) + 2
 
 
+def basis_size(data: LieRinehartData, k: int, max_degree: int) -> int:
+    """Size of cochain_basis_keys(data, k, max_degree), counted without
+    building it; raises WindowTooLarge above MAX_BASIS_SIZE."""
+    if k > data.r or max_degree < 0:
+        return 0
+    size = comb(data.r, k) * comb(max_degree + data.nvars, data.nvars)
+    if size > MAX_BASIS_SIZE:
+        raise WindowTooLarge(
+            f"the window needs {size} basis {k}-cochains of degree <= {max_degree};"
+            f" the limit is {MAX_BASIS_SIZE}")
+    return size
+
+
 def cochain_basis_keys(data: LieRinehartData, k: int, max_degree: int) -> list[Key]:
     """Deterministic basis of the k-cochains with coefficients of total
     degree <= max_degree, ordered by (degree, tuple, monomial)."""
-    if k > data.r or max_degree < 0:
+    if not basis_size(data, k, max_degree):
         return []
     keys = []
     for d in range(max_degree + 1):
@@ -101,28 +126,34 @@ class Stencil:
     so nothing is written out by hand.  A term (j, U, shifts) stores, for
     each monomial of a_{U,j} (j None: of b_U), the exponent and degree
     shift it applies to the source monomial with its coefficient; a
-    column is then a loop over terms into the sparse vector.
+    column is then a loop over terms into the sparse vector.  The
+    coefficients of T are cleared of denominators by one common multiple,
+    scale[T], so columns have integer entries.
     """
 
     def __init__(self, data: LieRinehartData, k: int):
         self.terms: dict[tuple[int, ...], list] = {}
+        self.scale: dict[tuple[int, ...], int] = {}
         n = data.nvars
         one = Poly.const(n, 1)
         for tup in combinations(range(data.r), k):
             b = differential(data, Cochain(k, data.r, n, {tup: one}))
-            terms = [(None, target, _shifts(poly, None))
-                     for target, poly in b.comps.items()]
+            parts = [(None, target, poly) for target, poly in b.comps.items()]
             for j in range(n):
                 xj = Poly.variable(n, j)
                 dxj = differential(data, Cochain(k, data.r, n, {tup: xj}))
                 for target in sorted(set(dxj.comps) | set(b.comps)):
                     a = dxj.component(target) - xj * b.component(target)
                     if a:
-                        terms.append((j, target, _shifts(a, j)))
-            self.terms[tup] = terms
+                        parts.append((j, target, a))
+            scale = lcm(*(c.denominator for _, _, poly in parts
+                          for c in poly.terms.values()))
+            self.terms[tup] = [(j, target, _shifts(poly, j, scale))
+                               for j, target, poly in parts]
+            self.scale[tup] = scale
 
-    def column(self, key: Key) -> Vector:
-        """Coordinates of d(x^m e_T) for the basis key (deg m, T, m)."""
+    def column(self, key: Key) -> IntVector:
+        """Coordinates of scale[T] * d(x^m e_T) for the basis key (deg m, T, m)."""
         deg, tup, mono = key
         vec: dict = {}
         get = vec.get
@@ -135,68 +166,71 @@ class Stencil:
                     continue
             for shift, dshift, coeff in shifts:
                 at = (deg + dshift, target, tuple(map(add, mono, shift)))
-                vec[at] = get(at, 0) + (coeff if scale == 1 else coeff * scale)
+                vec[at] = get(at, 0) + coeff * scale
         return {at: c for at, c in vec.items() if c}
 
 
-def _shifts(poly: Poly, j: Optional[int]) -> tuple:
-    # (exponent shift, degree shift, coefficient) per monomial; a term
-    # with j also divides by x_j, which the source's x_j^(m_j) absorbs
+def _shifts(poly: Poly, j: Optional[int], scale: int) -> tuple:
+    # (exponent shift, degree shift, integer coefficient) per monomial; a
+    # term with j also divides by x_j, which the source's x_j^(m_j) absorbs
     out = []
     for mono, coeff in poly.terms.items():
         shift = list(mono)
         if j is not None:
             shift[j] -= 1
-        out.append((tuple(shift), sum(shift), coeff))
+        out.append((tuple(shift), sum(shift), coeff.numerator * (scale // coeff.denominator)))
     return tuple(out)
 
 
-def _scale_primitive(vec: Vector) -> Vector:
-    # clear denominators and divide by the content, keeping entries integer
-    if not vec:
-        return vec
-    lcm = 1
-    for c in vec.values():
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    scaled = {k: c * lcm for k, c in vec.items()}
-    g = 0
-    for c in scaled.values():
-        g = gcd(g, int(c))
-    if g > 1:
-        scaled = {k: c / g for k, c in scaled.items()}
-    return scaled
-
-
 class Echelon:
-    """Row space in reduced form, each row pivoted at its largest key."""
+    """Row space of integer vectors, each row primitive, pivoted at its
+    largest key and with a positive pivot entry.
+
+    Elimination is fraction-free: with a = row[top], b = vec[top] and
+    g = gcd(a, b), a step sets vec to (a/g) vec - (b/g) row.  Keys of
+    negative degree are bookkeeping coordinates: they sort below every
+    real key, so they ride along in a combination but are never pivots.
+    """
 
     def __init__(self):
-        self.rows: dict[Key, Vector] = {}
+        self.rows: dict[Key, IntVector] = {}
 
-    def reduce(self, vec: Vector) -> Vector:
+    def reduce(self, vec: IntVector) -> IntVector:
         vec = dict(vec)
+        rows = self.rows
         while vec:
             top = max(vec)
-            row = self.rows.get(top)
+            row = rows.get(top)
             if row is None:
                 return vec
-            factor = vec[top] / row[top]
+            a, b = row[top], vec[top]
+            g = gcd(a, b)
+            if a != g:
+                a //= g
+                vec = {key: a * val for key, val in vec.items()}
+            b //= g
             for key, val in row.items():
-                nv = vec.get(key, Fraction(0)) - factor * val
+                nv = vec.get(key, 0) - b * val
                 if nv:
                     vec[key] = nv
                 else:
-                    vec.pop(key, None)
+                    del vec[key]
         return vec
 
-    def insert(self, vec: Vector) -> Optional[Key]:
+    def insert(self, vec: IntVector) -> Optional[Key]:
         """Reduce and store; returns the new pivot key, or None when the
-        vector was already in the row space."""
+        vector was already in the row space (up to bookkeeping)."""
         vec = self.reduce(vec)
-        if not vec:
+        top = max(vec, default=None)
+        if top is None or top[0] < 0:
             return None
-        self.rows[max(vec)] = _scale_primitive(vec)
-        return max(vec)
+        content = gcd(*vec.values())
+        if vec[top] < 0:
+            content = -content
+        if content != 1:
+            vec = {key: val // content for key, val in vec.items()}
+        self.rows[top] = vec
+        return top
 
     @property
     def rank(self) -> int:
@@ -332,8 +366,13 @@ def compute_table(data: LieRinehartData, ks: Iterable[int],
     D = window.max_degree
     buffer = window.resolve_buffer(data)
     limits = (D + buffer, D + buffer + 1)
-    passes = {j: _filtered_pass(data, j, D, limits if j + 1 in ks else ())
-              for j in sorted(set(ks) | {k - 1 for k in ks if k})}
+    plan = {j: limits if j + 1 in ks else ()
+            for j in sorted(set(ks) | {k - 1 for k in ks if k})}
+    # every basis is counted before any is built
+    for j, image_limits in plan.items():
+        basis_size(data, j, max((D, *image_limits)))
+    passes = {j: _filtered_pass(data, j, D, image_limits)
+              for j, image_limits in plan.items()}
     no_image = [0] * (D + 1)
     rows = {}
     for k in ks:
@@ -367,44 +406,6 @@ def compare_tables(first: CohomologyTable, second: CohomologyTable) -> TableDiff
     return TableDiff(not bad, tuple(bad))
 
 
-class _TrackingEchelon:
-    """Echelon that remembers how each stored row combines the inputs."""
-
-    def __init__(self):
-        self.rows: dict[Key, tuple[Vector, dict]] = {}
-
-    def reduce(self, vec: Vector, combo: dict) -> tuple[Vector, dict]:
-        vec = dict(vec)
-        combo = dict(combo)
-        while vec:
-            top = max(vec)
-            entry = self.rows.get(top)
-            if entry is None:
-                return vec, combo
-            row, rcombo = entry
-            factor = vec[top] / row[top]
-            for key, val in row.items():
-                nv = vec.get(key, Fraction(0)) - factor * val
-                if nv:
-                    vec[key] = nv
-                else:
-                    vec.pop(key, None)
-            for key, val in rcombo.items():
-                nv = combo.get(key, Fraction(0)) - factor * val
-                if nv:
-                    combo[key] = nv
-                else:
-                    combo.pop(key, None)
-        return vec, combo
-
-    def insert(self, vec: Vector, combo: dict) -> bool:
-        vec, combo = self.reduce(vec, combo)
-        if not vec:
-            return False
-        self.rows[max(vec)] = (vec, combo)
-        return True
-
-
 def find_primitive(data: LieRinehartData, cochain: Cochain,
                    window: SliceWindow) -> Optional[Cochain]:
     """Solve d(v) = cochain over sources of degree <= D + buffer.
@@ -424,13 +425,26 @@ def find_primitive(data: LieRinehartData, cochain: Cochain,
     D = window.max_degree
     buffer = window.resolve_buffer(data)
     stencil = Stencil(data, k - 1)
-    ech = _TrackingEchelon()
+    # each source carries its own coordinate (-1, T, m), so a reduced
+    # vector records which combination of the sources it is
+    ech = Echelon()
     for key in cochain_basis_keys(data, k - 1, D + buffer):
-        ech.insert(stencil.column(key), {key: Fraction(1)})
-    residual, combo = ech.reduce(target, {})
-    if residual:
+        _, tup, mono = key
+        column = stencil.column(key)
+        column[(-1, tup, mono)] = stencil.scale[tup]
+        ech.insert(column)
+    # the target, cleared of denominators, with a marker for its multiple
+    clear = lcm(*(c.denominator for c in target.values()))
+    marker = (-1, (), ())
+    target = {key: c.numerator * (clear // c.denominator) for key, c in target.items()}
+    target[marker] = clear
+    residual = ech.reduce(target)
+    if max(residual)[0] >= 0:
         return None
-    witness = vector_to_cochain({key: -c for key, c in combo.items()}, k - 1, data)
+    # residual = m * cochain - d(u) with bookkeeping -u and marker m
+    multiple = residual.pop(marker)
+    witness = vector_to_cochain(
+        {key: Fraction(-c, multiple) for key, c in residual.items()}, k - 1, data)
     if differential(data, witness) != cochain:
         raise AssertionError("primitive verification failed: d(witness) != cochain")
     return witness

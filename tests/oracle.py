@@ -196,6 +196,24 @@ def ex2_poisson():
     )
 
 
+def x_times_g_log(g):
+    """Log Poisson complex of {x,y} = x*g along x, on the basis dx/x, dy.
+
+    The anchors are {log x, f} = g f_y and {y, f} = -x g f_x, and
+    [dx/x, dy] = d{log x, y} = dg = x g_x (dx/x) + g_y dy, so
+    d1(f1, f2) = g f2_y + x g f1_x - x g_x f1 - g_y f2.  With g = 1 and
+    g = x this is ex1_log and ex2_log.
+    """
+    xg = X * g
+    xgx = X * g.partial(0)
+    gy = g.partial(1)
+    return two_var_complex(
+        lambda f: g * f.partial(1),
+        lambda f: -xg * f.partial(0),
+        lambda f1, f2: g * f2.partial(1) + xg * f1.partial(0) - xgx * f1 - gy * f2,
+    )
+
+
 def three_var_top_table(top, max_degree, buffer):
     """Cohomology of the top degree for a three-variable complex whose
     top differential maps each basis 2-cochain to a single monomial.

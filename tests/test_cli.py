@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from logpoisson import cli
-from logpoisson.cohomology import SliceWindow
+from logpoisson.cohomology import MAX_BASIS_SIZE, SliceWindow
 from logpoisson.poly import parse_poly
 
 EX1 = {
@@ -288,6 +288,17 @@ def test_negative_window_flags_are_rejected(tmp_path, command, flag):
     assert code == cli.EXIT_PARSE_ERROR
     assert out == ""
     assert "nonnegative integer" in err
+
+
+@pytest.mark.parametrize("command", ["cohomology", "compare", "prequantize"])
+def test_window_past_the_basis_limit_is_rejected(tmp_path, command):
+    # the basis is counted before it is built, so this fails at once
+    # instead of exhausting memory
+    doc = dict(EX1, max_degree=100000)
+    code, out, err = run_main_err([command], doc, tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert out == ""
+    assert f"the limit is {MAX_BASIS_SIZE}" in err
 
 
 @pytest.mark.parametrize("field", ["max_degree", "buffer"])

@@ -2,6 +2,7 @@
 values frozen from the oracle runs."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ import oracle
 from logpoisson import cohomology
 from logpoisson.cohomology import (
     CohomologyTable,
+    Echelon,
     SliceWindow,
     Stencil,
     basis_cochain,
@@ -95,13 +97,16 @@ def test_slice_matrix_empty():
 
 
 def assert_stencil_matches_engine(L, max_degree):
-    """Every column of every d^k up to max_degree, against a full
-    application of the generic differential to the basis cochain."""
+    """Every column of every d^k up to max_degree, against scale[T] times
+    a full application of the generic differential to the basis cochain."""
     for k in range(L.r + 1):
         stencil = Stencil(L, k)
         for key in cochain_basis_keys(L, k, max_degree):
+            scale = stencil.scale[key[1]]
             generic = cochain_to_vector(differential(L, basis_cochain(L, key)))
-            assert stencil.column(key) == generic, (L.name, k, key)
+            column = stencil.column(key)
+            assert column == {at: scale * c for at, c in generic.items()}, (L.name, k, key)
+            assert all(type(c) is int for c in column.values())
 
 
 def worked_complexes():
@@ -135,9 +140,9 @@ def test_stencil_is_read_off_the_engine(monkeypatch):
 
 
 def polys(nvars, max_exp=2, max_terms=4):
-    """Sparse polynomials with small integer coefficients."""
+    """Sparse polynomials with small nonzero rational coefficients."""
     mono = st.tuples(*[st.integers(0, max_exp)] * nvars)
-    coeff = st.integers(-3, 3).filter(bool)
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
     return st.dictionaries(mono, coeff, max_size=max_terms).map(
         lambda terms: Poly(nvars, terms))
 
@@ -180,6 +185,53 @@ def test_stencil_matches_engine_on_jacobian_brackets(h):
     assert not P.jacobi_failures()
     for L in generated_complexes(P, [x]):
         assert_stencil_matches_engine(L, 2)
+
+
+# -- the integer echelon against dense elimination ----------------------------
+
+ECHELON_KEYS = [(d, (t,), (i,)) for d in range(4) for t in range(2) for i in range(2)]
+
+
+@st.composite
+def sparse_columns(draw):
+    """Sparse columns with nonzero rational entries over ECHELON_KEYS;
+    zero columns and repeated (rescaled) columns included."""
+    entry = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+    column = st.dictionaries(st.sampled_from(ECHELON_KEYS), entry, max_size=5)
+    cols = draw(st.lists(column, max_size=10))
+    if cols:
+        for pos in draw(st.lists(st.integers(0, len(cols) - 1), max_size=4)):
+            factor = draw(entry)
+            cols.append({key: factor * c for key, c in cols[pos].items()})
+    return draw(st.permutations(cols))
+
+
+def integer_multiple(column):
+    # the echelon takes integer vectors: clear the denominators
+    scale = lcm(*(c.denominator for c in column.values()))
+    return {key: int(c * scale) for key, c in column.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cols=sparse_columns())
+def test_echelon_ranks_match_dense_elimination(cols):
+    # pivoting at the largest key makes the pivots above degree d count the
+    # rank of the columns with every coordinate of degree <= d dropped
+    ech = Echelon()
+    pivots = [ech.insert(integer_multiple(c)) for c in cols]
+    pivots = [p for p in pivots if p is not None]
+
+    def dense(above):
+        keys = [key for key in ECHELON_KEYS if key[0] > above]
+        return oracle.dense_rank([[c.get(key, Fraction(0)) for key in keys] for c in cols])
+
+    assert ech.rank == len(pivots) == dense(-1)
+    for d in range(4):
+        assert sum(p[0] > d for p in pivots) == dense(d), d
+    for key, row in ech.rows.items():
+        assert max(row) == key and row[key] > 0
+        assert all(type(c) is int for c in row.values())
+        assert gcd(*row.values()) == 1
 
 
 def test_rank_nullity_against_dense_oracle():
@@ -240,6 +292,24 @@ def test_second_structure_tables_match_oracle_and_frozen():
         assert table.dims(2) == [1] * 9
         assert table.cumulative(1) == 10
         assert table.cumulative(2) == 9
+
+
+def test_rational_bracket_tables_match_oracle():
+    # {x,y} = x*g with g = 1/3 + x*y/2 along x: the stencil clears the
+    # denominators 3 and 2, and the dense oracle works in fractions
+    g = Poly(2, {(0, 0): Fraction(1, 3), (1, 1): Fraction(1, 2)})
+    P = PoissonStructure(XY, {(0, 1): p2("x") * g})
+    B = basis_for(P, LogDivisorSpec.normalize([p2("x")]))
+    L = log_poisson_complex(P, B)
+    assert Stencil(L, 1).scale == {(0,): 6, (1,): 6}
+    table = compute_table(L, [0, 1, 2], SliceWindow(4))
+    dense = oracle.x_times_g_log(g)
+    for k in (0, 1, 2):
+        odims, _ = dense.table(k, 4, table.buffer)
+        assert table.dims(k) == odims, k
+    # frozen from the oracle run
+    assert table.dims(1) == [0, 1, 1, 0, 0]
+    assert table.dims(2) == [0, 0, 0, 1, 0]
 
 
 def test_third_structure_top_tables_match_oracle_and_frozen():
@@ -359,12 +429,13 @@ def test_find_primitive_verifies_its_witness(monkeypatch):
     P, B = setup_x()
     L = log_poisson_complex(P, B)
     pi = two_form_cochain(P, B)
-    original = cohomology._TrackingEchelon.insert
+    original = cohomology.Echelon.insert
 
-    def corrupted(self, vec, combo):
-        return original(self, vec, {key: 2 * c for key, c in combo.items()})
+    def corrupted(self, vec):
+        # the negative-degree keys record the combination of the sources
+        return original(self, {key: 2 * c if key[0] < 0 else c for key, c in vec.items()})
 
-    monkeypatch.setattr(cohomology._TrackingEchelon, "insert", corrupted)
+    monkeypatch.setattr(cohomology.Echelon, "insert", corrupted)
     with pytest.raises(AssertionError, match="verification"):
         find_primitive(L, pi, SliceWindow(8))
 
