@@ -51,7 +51,6 @@ from .complexes import (
     basis_for,
     differential,
     log_derham_complex,
-    log_derham_differential,
     log_hamiltonian_cochain_map,
     log_poisson_complex,
     poisson_complex,
@@ -65,7 +64,6 @@ from .cohomology import (
     compare_tables,
     compute_table,
     find_primitive,
-    slice_matrix,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +99,6 @@ __all__ = [
     "format_poly",
     "is_log_principal",
     "log_derham_complex",
-    "log_derham_differential",
     "log_hamiltonian",
     "log_hamiltonian_basis",
     "log_hamiltonian_cochain_map",
@@ -113,7 +110,6 @@ __all__ = [
     "pair_scalar",
     "parse_poly",
     "poisson_complex",
-    "slice_matrix",
     "structure_constants",
     "two_form_cochain",
     "two_form_value",

@@ -237,35 +237,6 @@ class Echelon:
         return len(self.rows)
 
 
-@dataclass
-class SliceMatrix:
-    """The differential restricted to a degree slice of the source."""
-
-    k: int
-    source_degree: int
-    shift: int
-    source_keys: list[Key]
-    columns: dict[Key, Vector]
-
-    def rank(self) -> int:
-        ech = Echelon()
-        for key in self.source_keys:
-            ech.insert(self.columns[key])
-        return ech.rank
-
-    def kernel_dim(self) -> int:
-        return len(self.source_keys) - self.rank()
-
-
-def slice_matrix(data: LieRinehartData, k: int, source_degree: int) -> SliceMatrix:
-    """Matrix of the differential from k-cochains of degree <= source_degree;
-    target coefficients live in degree <= source_degree + shift."""
-    keys = cochain_basis_keys(data, k, source_degree)
-    stencil = Stencil(data, k)
-    cols = {key: stencil.column(key) for key in keys}
-    return SliceMatrix(k, source_degree, data.degree_shift(), keys, cols)
-
-
 def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
                    image_limits: Sequence[int] = ()) -> tuple[list[int], list[list[int]]]:
     """One elimination of d^k, its columns fed in degree order.

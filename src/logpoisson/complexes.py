@@ -17,7 +17,6 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .logforms import (
     LogBasis,
-    express_d,
     log_hamiltonian_basis,
     log_hamiltonian_matrix,
     pair_scalar,
@@ -243,26 +242,6 @@ def log_derham_complex(basis: LogBasis) -> LieRinehartData:
         )
         anchors.append(Derivation(tuple(coeffs)))
     return LieRinehartData(n, n, tuple(anchors), {}, name="log-derham")
-
-
-def log_derham_differential(basis: LogBasis, cochain: Cochain) -> Cochain:
-    """Exterior derivative computed directly: d(f e_T) is the wedge of
-    the expanded differential of f with e_T.  Agrees with the generic
-    engine on log_derham_complex; basis forms are closed."""
-    n = basis.n
-    if cochain.k >= n:
-        return Cochain.zero(n, n, cochain.nvars)
-    out: dict[tuple[int, ...], Poly] = {}
-    for tup, f in cochain.comps.items():
-        df = express_d(basis, f)
-        for l, g in enumerate(df.coeffs):
-            if g.is_zero() or l in tup:
-                continue
-            pos = sum(1 for t in tup if t < l)
-            key = tuple(sorted((l,) + tup))
-            signed = -g if pos % 2 else g
-            out[key] = out.get(key, Poly.zero(n)) + signed
-    return Cochain(cochain.k + 1, n, n, out)
 
 
 def log_hamiltonian_cochain_map(structure: PoissonStructure, basis: LogBasis,

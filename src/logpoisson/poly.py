@@ -295,6 +295,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
+# Powers are expanded by repeated multiplication, so the parser rejects a
+# power whose degree would exceed this before expanding it.
+MAX_POWER_DEGREE = 16
+
 _SYMBOLS = set("+-*/^()")
 
 
@@ -314,6 +318,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            try:
+                int(text[i:j])  # Python refuses some digits and very long literals
+            except ValueError:
+                raise ParseError("malformed or overlong integer", i) from None
             tokens.append(("int", text[i:j], i))
             i = j
             continue
@@ -393,7 +401,11 @@ class _Parser:
             kind, val, at = self.take()
             if kind != "int":
                 raise ParseError("expected integer exponent after '^'", at)
-            return base ** int(val)
+            exponent = int(val)
+            # a constant base counts as degree one, so its exponent is bounded too
+            if exponent * max(base.degree(), 1) > MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree above the limit {MAX_POWER_DEGREE}", at)
+            return base ** exponent
         return base
 
     def base(self) -> Poly:

@@ -1,27 +1,11 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from logpoisson.poly import Poly, monomials_of_degree
+from logpoisson.selfcheck import random_poly
 
 
-def random_poly(rng: random.Random, nvars: int, max_degree: int,
-                max_terms: int = 6, coeff_bound: int = 4) -> Poly:
-    """Random sparse polynomial with small integer coefficients."""
-    terms = {}
-    pool = []
-    for d in range(max_degree + 1):
-        pool.extend(monomials_of_degree(nvars, d))
-    for _ in range(rng.randint(0, max_terms)):
-        mono = rng.choice(pool)
-        c = rng.randint(-coeff_bound, coeff_bound)
-        if c:
-            terms[mono] = terms.get(mono, 0) + c
-    return Poly(nvars, terms)
-
-
-def random_nonzero_poly(rng, nvars, max_degree, **kw) -> Poly:
+def random_nonzero_poly(rng, nvars, max_degree, **kw):
     while True:
         p = random_poly(rng, nvars, max_degree, **kw)
         if not p.is_zero():

@@ -3,12 +3,16 @@
 Deliberately independent of the package's sparse elimination: the
 differentials are hand-written closed forms, matrices are dense Fraction
 rows reduced by plain Gaussian elimination, and filtered intersections
-use dim(U meet W) = dim U + dim W - dim(U + W).
+use dim(U meet W) = dim U + dim W - dim(U + W).  The log de Rham
+differential is also written out directly, as the wedge of the expanded
+differential with each basis form, to check the generic engine.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from logpoisson.complexes import Cochain
+from logpoisson.logforms import express_d
 from logpoisson.poly import Poly, monomials_of_degree, parse_poly
 
 XY = ["x", "y"]
@@ -256,3 +260,26 @@ def ex3_poisson_top(tup, poly):
     if tup == (0, 2):
         return -xyz * poly.partial(2) + x * y * poly
     return Poly.zero(3)
+
+
+# -- the log de Rham differential, directly ----------------------------------
+
+
+def log_derham_differential(basis, cochain):
+    """Exterior derivative computed directly: d(f e_T) is the wedge of
+    the expanded differential of f with e_T.  Agrees with the generic
+    engine on log_derham_complex; basis forms are closed."""
+    n = basis.n
+    if cochain.k >= n:
+        return Cochain.zero(n, n, cochain.nvars)
+    out = {}
+    for tup, f in cochain.comps.items():
+        df = express_d(basis, f)
+        for l, g in enumerate(df.coeffs):
+            if g.is_zero() or l in tup:
+                continue
+            pos = sum(1 for t in tup if t < l)
+            key = tuple(sorted((l,) + tup))
+            signed = -g if pos % 2 else g
+            out[key] = out.get(key, Poly.zero(n)) + signed
+    return Cochain(cochain.k + 1, n, n, out)

@@ -14,9 +14,6 @@ two printed terms.
 """
 
 import random
-from itertools import combinations
-
-import pytest
 
 from logpoisson.cohomology import (
     SliceWindow,
@@ -27,51 +24,29 @@ from logpoisson.cohomology import (
 )
 from logpoisson.complexes import (
     Cochain,
-    basis_for,
     differential,
     log_derham_complex,
-    log_derham_differential,
-    log_hamiltonian_cochain_map,
     log_poisson_complex,
     poisson_complex,
     two_form_cochain,
 )
-from logpoisson.logforms import (
-    LogBasis,
-    OneForm,
-    form_bracket,
-    log_hamiltonian,
-    log_symplectic_test,
+from logpoisson.logforms import log_symplectic_test
+from logpoisson.poly import Poly
+from logpoisson.selfcheck import (
+    p2,
+    p3,
+    setup_x,
+    setup_x2,
+    setup_xyz,
+    suite_anchor_homomorphism,
+    suite_chain_map_square,
+    suite_d_squared,
+    suite_form_bracket_jacobi,
+    suite_formula_oracles,
+    suite_leibniz,
+    suite_poisson_jacobi,
 )
-from logpoisson.poisson import LogDivisorSpec, PoissonStructure
-from logpoisson.poly import Poly, parse_poly
 from conftest import random_poly
-
-XY = ["x", "y"]
-XYZ = ["x", "y", "z"]
-
-
-def p2(t):
-    return parse_poly(t, XY)
-
-
-def p3(t):
-    return parse_poly(t, XYZ)
-
-
-def setup_x():
-    P = PoissonStructure(XY, {(0, 1): p2("x")})
-    return P, basis_for(P, LogDivisorSpec.normalize([p2("x")]))
-
-
-def setup_x2():
-    P = PoissonStructure(XY, {(0, 1): p2("x^2")})
-    return P, basis_for(P, LogDivisorSpec.normalize([p2("x^2")]))
-
-
-def setup_xyz():
-    P = PoissonStructure(XYZ, {(1, 2): p3("x*y*z")})
-    return P, basis_for(P, LogDivisorSpec.normalize([p3("x"), p3("y"), p3("z")]))
 
 
 def report(number, ok, text):
@@ -260,103 +235,9 @@ def test_criterion_7_prequantization():
 
 
 # criterion 8: property suites ------------------------------------------------
-
-
-def _random_cochain(rng, data, k, max_degree=4):
-    comps = {}
-    for tup in combinations(range(data.r), k):
-        comps[tup] = random_poly(rng, data.nvars, max_degree, max_terms=3)
-    return Cochain(k, data.r, data.nvars, comps)
-
-
-def _all_complexes():
-    out = []
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
-        out += [log_poisson_complex(P, B), poisson_complex(P), log_derham_complex(B)]
-    return out
-
-
-def _check_d_squared(rng):
-    for data in _all_complexes():
-        for k in range(data.r):
-            for _ in range(50):
-                c = _random_cochain(rng, data, k)
-                if not differential(data, differential(data, c)).is_zero():
-                    return False
-    return True
-
-
-def _check_jacobi(rng):
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
-        if P.jacobi_failures():
-            return False
-        for _ in range(50):
-            f, g, h = (random_poly(rng, P.n, 4, max_terms=3) for _ in range(3))
-            if not (P.bracket(f, P.bracket(g, h)) + P.bracket(g, P.bracket(h, f))
-                    + P.bracket(h, P.bracket(f, g))).is_zero():
-                return False
-        for _ in range(50):
-            forms = [
-                OneForm(tuple(random_poly(rng, B.n, 2, max_terms=2)
-                              for _ in range(B.n)))
-                for _ in range(3)
-            ]
-            a, b, c = forms
-            total = (
-                form_bracket(P, B, a, form_bracket(P, B, b, c))
-                + form_bracket(P, B, b, form_bracket(P, B, c, a))
-                + form_bracket(P, B, c, form_bracket(P, B, a, b))
-            )
-            if not total.is_zero():
-                return False
-    return True
-
-
-def _check_leibniz(rng):
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
-        for _ in range(50):
-            alpha = OneForm(tuple(random_poly(rng, B.n, 3, max_terms=2)
-                                  for _ in range(B.n)))
-            beta = OneForm(tuple(random_poly(rng, B.n, 3, max_terms=2)
-                                 for _ in range(B.n)))
-            a = random_poly(rng, B.n, 3, max_terms=3)
-            lhs = form_bracket(P, B, alpha, beta.scale(a))
-            rhs = beta.scale(log_hamiltonian(P, B, alpha).apply(a)) \
-                + form_bracket(P, B, alpha, beta).scale(a)
-            if not (lhs - rhs).is_zero():
-                return False
-    return True
-
-
-def _check_anchor_homomorphism(rng):
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
-        for _ in range(13):
-            alpha = OneForm(tuple(random_poly(rng, B.n, 3, max_terms=2)
-                                  for _ in range(B.n)))
-            beta = OneForm(tuple(random_poly(rng, B.n, 3, max_terms=2)
-                                 for _ in range(B.n)))
-            da = log_hamiltonian(P, B, alpha)
-            db = log_hamiltonian(P, B, beta)
-            dbr = log_hamiltonian(P, B, form_bracket(P, B, alpha, beta))
-            for _ in range(4):
-                f = random_poly(rng, B.n, 4, max_terms=3)
-                if dbr.apply(f) != da.apply(db.apply(f)) - db.apply(da.apply(f)):
-                    return False
-    return True
-
-
-def _check_chain_map(rng):
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
-        L = log_poisson_complex(P, B)
-        LD = log_derham_complex(B)
-        for k in range(B.n):
-            for _ in range(17):
-                omega = _random_cochain(rng, LD, k)
-                lhs = differential(L, log_hamiltonian_cochain_map(P, B, omega))
-                rhs = log_hamiltonian_cochain_map(P, B, log_derham_differential(B, omega))
-                if not (lhs + rhs).is_zero():
-                    return False
-    return True
+#
+# The suites themselves live in logpoisson.selfcheck; this criterion runs
+# them with more rounds than the command line selftest.
 
 
 # reference closed forms, written with their published component slots.
@@ -494,24 +375,34 @@ def _check_three_var_poisson_formulas(rng):
 
 def test_criterion_8_property_suites():
     rng = random.Random(8)
+    failures = []
+
+    def passed(*suites):
+        runs = [suite(rng, rounds) for suite, rounds in suites]
+        failures.extend(f"{r.name}: {r.detail}" for r in runs if not r.ok)
+        return all(r.ok for r in runs)
+
     results = {
-        "d-squared": _check_d_squared(rng),
-        "jacobi": _check_jacobi(rng),
-        "leibniz": _check_leibniz(rng),
-        "anchor-homomorphism": _check_anchor_homomorphism(rng),
-        "chain-map-square": _check_chain_map(rng),
+        "d-squared": passed((suite_d_squared, 50)),
+        "jacobi": passed((suite_poisson_jacobi, 50), (suite_form_bracket_jacobi, 50)),
+        "leibniz": passed((suite_leibniz, 50)),
+        "anchor-homomorphism": passed((suite_anchor_homomorphism, 18)),
+        "chain-map-square": passed((suite_chain_map_square, 25)),
+        "formula-oracles": passed((suite_formula_oracles, 50)),
         "formulas-two-var": _check_two_var_formulas(rng),
         "formulas-three-var-log": _check_three_var_log_formulas(rng),
         "formulas-three-var-poisson": _check_three_var_poisson_formulas(rng),
     }
     ok = all(results.values())
     failed = [name for name, good in results.items() if not good]
-    report(8, ok, "property suites" + ("" if ok else f" (failed: {failed})"))
-    assert results["d-squared"]
-    assert results["jacobi"]
-    assert results["leibniz"]
-    assert results["anchor-homomorphism"]
-    assert results["chain-map-square"]
+    report(8, ok, "property suites" +
+           ("" if ok else f" (failed: {failed}; {failures})"))
+    assert results["d-squared"], failures
+    assert results["jacobi"], failures
+    assert results["leibniz"], failures
+    assert results["anchor-homomorphism"], failures
+    assert results["chain-map-square"], failures
+    assert results["formula-oracles"], failures
     assert results["formulas-two-var"]
     assert results["formulas-three-var-log"]
     assert results["formulas-three-var-poisson"]

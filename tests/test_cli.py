@@ -8,7 +8,7 @@ import pytest
 
 from logpoisson import cli
 from logpoisson.cohomology import MAX_BASIS_SIZE, SliceWindow
-from logpoisson.poly import parse_poly
+from logpoisson.poly import MAX_POWER_DEGREE, parse_poly
 
 EX1 = {
     "variables": ["x", "y"],
@@ -213,6 +213,12 @@ def test_parse_error_exit_code(tmp_path):
 
     code = cli.main(["check", "--input", str(tmp_path / "missing.json")])
     assert code == cli.EXIT_PARSE_ERROR
+
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_main(["check"], dict(EX1, bracket={"x,y": "x^99999999999"}), tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert f"limit {MAX_POWER_DEGREE}" in err.getvalue()
 
 
 def test_selftest_exit_codes():

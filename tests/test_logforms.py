@@ -3,12 +3,10 @@ import pytest
 from logpoisson.logforms import (
     BasisForm,
     DivisionObstruction,
-    LogBasis,
     OneForm,
     express_d,
     extension_bracket,
     form_bracket,
-    log_hamiltonian,
     log_hamiltonian_basis,
     log_hamiltonian_matrix,
     log_symplectic_test,
@@ -17,48 +15,25 @@ from logpoisson.logforms import (
     structure_constants,
     two_form_value,
 )
-from logpoisson.poisson import Derivation, LogDivisorSpec, PoissonStructure
+from logpoisson.poisson import Derivation, PoissonStructure
 from logpoisson.poly import Poly, parse_poly
+from logpoisson.selfcheck import (
+    XY,
+    XYZ,
+    p2,
+    p3,
+    random_one_form,
+    setup_x,
+    setup_x2,
+    setup_xyz,
+    worked_structures,
+)
 from conftest import random_poly
-
-XY = ["x", "y"]
-XYZ = ["x", "y", "z"]
-
-
-def p2(t):
-    return parse_poly(t, XY)
-
-
-def p3(t):
-    return parse_poly(t, XYZ)
-
-
-def setup_x():
-    P = PoissonStructure(XY, {(0, 1): p2("x")})
-    B = LogBasis.from_divisor(2, LogDivisorSpec.normalize([p2("x")]))
-    return P, B
-
-
-def setup_x2():
-    P = PoissonStructure(XY, {(0, 1): p2("x^2")})
-    B = LogBasis.from_divisor(2, LogDivisorSpec.normalize([p2("x^2")]))
-    return P, B
-
-
-def setup_xyz():
-    P = PoissonStructure(XYZ, {(1, 2): p3("x*y*z")})
-    S = LogDivisorSpec.normalize([p3("x"), p3("y"), p3("z")])
-    return P, LogBasis.from_divisor(3, S)
 
 
 def one_form(basis, *texts):
     names = XY if basis.n == 2 else XYZ
     return OneForm(tuple(parse_poly(t, names) for t in texts))
-
-
-def random_one_form(rng, basis, max_degree=3):
-    nv = basis.n
-    return OneForm(tuple(random_poly(rng, nv, max_degree, max_terms=3) for _ in range(nv)))
 
 
 def test_basis_layout():
@@ -134,48 +109,6 @@ def test_form_bracket_skew(rng):
         assert form_bracket(P, B, a, a).is_zero()
 
 
-def test_form_bracket_leibniz(rng):
-    # [alpha, a*beta] = H(alpha)(a) beta + a [alpha, beta]
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
-        for _ in range(20):
-            alpha = random_one_form(rng, B)
-            beta = random_one_form(rng, B)
-            a = random_poly(rng, B.n, 3, max_terms=3)
-            lhs = form_bracket(P, B, alpha, beta.scale(a))
-            rhs = beta.scale(log_hamiltonian(P, B, alpha).apply(a)) + form_bracket(
-                P, B, alpha, beta
-            ).scale(a)
-            assert lhs == rhs
-
-
-def test_form_bracket_jacobi(rng):
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
-        for _ in range(20):
-            a = random_one_form(rng, B, 2)
-            b = random_one_form(rng, B, 2)
-            c = random_one_form(rng, B, 2)
-            total = (
-                form_bracket(P, B, a, form_bracket(P, B, b, c))
-                + form_bracket(P, B, b, form_bracket(P, B, c, a))
-                + form_bracket(P, B, c, form_bracket(P, B, a, b))
-            )
-            assert total.is_zero()
-
-
-def test_anchor_homomorphism(rng):
-    # H([alpha, beta]) acts as the commutator of H(alpha) and H(beta)
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
-        for _ in range(18):
-            alpha = random_one_form(rng, B)
-            beta = random_one_form(rng, B)
-            da = log_hamiltonian(P, B, alpha)
-            db = log_hamiltonian(P, B, beta)
-            dbr = log_hamiltonian(P, B, form_bracket(P, B, alpha, beta))
-            for _ in range(3):
-                f = random_poly(rng, B.n, 4, max_terms=4)
-                assert dbr.apply(f) == da.apply(db.apply(f)) - db.apply(da.apply(f))
-
-
 def test_log_hamiltonian_matrix_and_symplectic():
     P, B = setup_x()
     M = log_hamiltonian_matrix(P, B)
@@ -233,7 +166,7 @@ def _jacobi_sum(P, B, u, v, w):
 def test_extension_bracket_jacobi_pure_forms(rng):
     # with zero scalar parts the cyclic sum reduces to closedness of the
     # induced two-form, so it must vanish for arbitrary coefficients
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
+    for P, B in worked_structures():
         zero = Poly.zero(B.n)
         for _ in range(12):
             trip = [(zero, random_one_form(rng, B, 2)) for _ in range(3)]
@@ -244,7 +177,7 @@ def test_extension_bracket_jacobi_pure_forms(rng):
 def test_extension_bracket_jacobi_pure_scalars(rng):
     # the scalar part embeds the Poisson algebra, so Jacobi there is the
     # Poisson Jacobi identity
-    for P, B in (setup_x(), setup_x2(), setup_xyz()):
+    for P, B in worked_structures():
         zf = OneForm.zero(B.n, B.n)
         for _ in range(12):
             trip = [(random_poly(rng, B.n, 3, max_terms=3), zf) for _ in range(3)]

@@ -1,6 +1,6 @@
 import pytest
 
-from logpoisson.poly import Poly, parse_poly
+from logpoisson.poly import Poly
 from logpoisson.poisson import (
     Derivation,
     LogDivisorSpec,
@@ -9,45 +9,21 @@ from logpoisson.poisson import (
     is_log_principal,
     normalize_squarefree,
 )
+from logpoisson.selfcheck import XY, XYZ, p2, p3, setup_x, setup_x2, setup_xyz
 from conftest import random_poly
-
-XY = ["x", "y"]
-XYZ = ["x", "y", "z"]
-
-
-def p2(t):
-    return parse_poly(t, XY)
-
-
-def p3(t):
-    return parse_poly(t, XYZ)
-
-
-def struct_x():
-    # {x, y} = x
-    return PoissonStructure(XY, {(0, 1): p2("x")})
-
-
-def struct_x2():
-    return PoissonStructure(XY, {(0, 1): p2("x^2")})
-
-
-def struct_xyz():
-    # {x,y} = 0, {x,z} = 0, {y,z} = x*y*z
-    return PoissonStructure(XYZ, {(1, 2): p3("x*y*z")})
 
 
 def test_bracket_examples():
-    P = struct_x()
+    P, _ = setup_x()
     assert P.bracket(p2("x"), p2("y")) == p2("x")
     f = p2("x^2*y - y^3 + 2")
     assert P.bracket(f, f) == Poly.zero(2)
-    Q = struct_xyz()
+    Q, _ = setup_xyz()
     assert Q.bracket(p3("y^2"), p3("z")) == p3("2*x*y^2*z")
 
 
 def test_bracket_skew(rng):
-    P = struct_x2()
+    P, _ = setup_x2()
     for _ in range(60):
         f = random_poly(rng, 2, 4)
         g = random_poly(rng, 2, 4)
@@ -55,7 +31,7 @@ def test_bracket_skew(rng):
 
 
 def test_bracket_leibniz(rng):
-    Q = struct_xyz()
+    Q, _ = setup_xyz()
     for _ in range(60):
         f = random_poly(rng, 3, 3)
         g = random_poly(rng, 3, 3)
@@ -64,8 +40,8 @@ def test_bracket_leibniz(rng):
 
 
 def test_jacobiator_examples():
-    assert struct_x().jacobi_failures() == []  # n=2: vacuous
-    Q = struct_xyz()
+    assert setup_x()[0].jacobi_failures() == []  # n=2: vacuous
+    Q, _ = setup_xyz()
     assert Q.jacobiator(0, 1, 2) == Poly.zero(3)
     R = PoissonStructure(XYZ, {(0, 1): p3("z")})
     assert R.jacobiator(0, 1, 2) == Poly.zero(3)
@@ -75,7 +51,7 @@ def test_jacobiator_examples():
 
 def test_coordinate_jacobi_implies_full(rng):
     # once every coordinate triple vanishes, the full cyclic sum vanishes
-    for P in (struct_xyz(), PoissonStructure(XYZ, {(0, 1): p3("z")})):
+    for P in (setup_xyz()[0], PoissonStructure(XYZ, {(0, 1): p3("z")})):
         assert P.is_jacobi()
         for _ in range(50):
             f = random_poly(rng, 3, 4, max_terms=4)
@@ -90,14 +66,14 @@ def test_coordinate_jacobi_implies_full(rng):
 
 
 def test_hamiltonian_examples():
-    P = struct_x()
+    P, _ = setup_x()
     assert P.hamiltonian(p2("x")) == Derivation((Poly.zero(2), p2("x")))
     assert P.hamiltonian(p2("y")) == Derivation((p2("-x"), Poly.zero(2)))
     assert P.hamiltonian(Poly.const(2, 1)).is_zero()
 
 
 def test_hamiltonian_is_the_bracket(rng):
-    P = struct_x2()
+    P, _ = setup_x2()
     for _ in range(40):
         f = random_poly(rng, 2, 4)
         g = random_poly(rng, 2, 4)
@@ -105,7 +81,7 @@ def test_hamiltonian_is_the_bracket(rng):
 
 
 def test_hamiltonian_product_rule(rng):
-    P = struct_x()
+    P, _ = setup_x()
     for _ in range(40):
         f = random_poly(rng, 2, 3)
         g = random_poly(rng, 2, 3)
@@ -138,11 +114,11 @@ def test_log_divisor_spec():
 
 
 def test_is_log_principal():
-    P = struct_x()
+    P, _ = setup_x()
     S = LogDivisorSpec.normalize([p2("x")])
     assert is_log_principal(P, S).ok
 
-    Q = struct_xyz()
+    Q, _ = setup_xyz()
     S3 = LogDivisorSpec.normalize([p3("x"), p3("y"), p3("z")])
     assert is_log_principal(Q, S3).ok
 
@@ -155,7 +131,7 @@ def test_is_log_principal():
 
 
 def test_is_log_principal_x_squared():
-    P = struct_x2()
+    P, _ = setup_x2()
     S = LogDivisorSpec.normalize([p2("x^2")])
     assert S.variables == (0,)
     assert is_log_principal(P, S).ok

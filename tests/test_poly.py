@@ -4,24 +4,15 @@ from fractions import Fraction
 import pytest
 
 from logpoisson.poly import (
+    MAX_POWER_DEGREE,
     ParseError,
     Poly,
     format_poly,
     monomials_of_degree,
     parse_poly,
 )
+from logpoisson.selfcheck import XY, XYZ, p2, p3
 from conftest import random_nonzero_poly, random_poly
-
-XY = ["x", "y"]
-XYZ = ["x", "y", "z"]
-
-
-def p2(text):
-    return parse_poly(text, XY)
-
-
-def p3(text):
-    return parse_poly(text, XYZ)
 
 
 def test_add_examples():
@@ -205,6 +196,14 @@ def test_parse_errors_carry_position():
         p2("x / 2")
     with pytest.raises(ParseError):
         p2("3 $ x")
+    with pytest.raises(ParseError, match="overlong"):
+        p2("x^" + "9" * 5000)
+    # a power is bounded by its degree before it is expanded
+    assert p2("(x*y + 1)^8").degree() == MAX_POWER_DEGREE
+    for text, at in (("x^99999999999", 2), ("(x + y + 1)^17", 12), ("2^17", 2)):
+        with pytest.raises(ParseError, match=f"limit {MAX_POWER_DEGREE}") as err:
+            p2(text)
+        assert err.value.position == at
 
 
 def test_format_round_trip(rng):
