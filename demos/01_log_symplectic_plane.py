@@ -7,10 +7,10 @@ everything with the library API and print what a report would contain.
 """
 
 from logpoisson import (
+    LogBasis,
     LogDivisorSpec,
     PoissonStructure,
     SliceWindow,
-    basis_for,
     compute_table,
     differential,
     find_primitive,
@@ -30,7 +30,7 @@ NAMES = ["x", "y"]
 
 structure = PoissonStructure(NAMES, {(0, 1): parse_poly("x", NAMES)})
 divisor = LogDivisorSpec.normalize([parse_poly("x", NAMES)])
-basis = basis_for(structure, divisor)
+basis = LogBasis.from_divisor(structure.n, divisor)
 
 print("variables:", ", ".join(NAMES))
 print("bracket {x,y} =", format_poly(structure.entry(0, 1), NAMES))

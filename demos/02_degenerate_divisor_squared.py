@@ -9,10 +9,10 @@ nondegeneracy verdict is sufficient, not necessary, for that equality.
 """
 
 from logpoisson import (
+    LogBasis,
     LogDivisorSpec,
     PoissonStructure,
     SliceWindow,
-    basis_for,
     compare_tables,
     compute_table,
     differential,
@@ -35,7 +35,7 @@ print("divisor generator x^2 normalizes to the variable index",
 
 structure = PoissonStructure(NAMES, {(0, 1): parse_poly("x^2", NAMES)})
 divisor = LogDivisorSpec.normalize([generator])
-basis = basis_for(structure, divisor)
+basis = LogBasis.from_divisor(structure.n, divisor)
 
 sym = log_symplectic_test(structure, basis)
 print("log-symplectic:", sym.is_log_symplectic,

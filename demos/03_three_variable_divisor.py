@@ -8,10 +8,10 @@ is in degree three.
 """
 
 from logpoisson import (
+    LogBasis,
     LogDivisorSpec,
     PoissonStructure,
     SliceWindow,
-    basis_for,
     compare_tables,
     compute_table,
     log_poisson_complex,
@@ -25,7 +25,7 @@ NAMES = ["x", "y", "z"]
 
 structure = PoissonStructure(NAMES, {(1, 2): parse_poly("x*y*z", NAMES)})
 divisor = LogDivisorSpec.normalize([parse_poly(v, NAMES) for v in NAMES])
-basis = basis_for(structure, divisor)
+basis = LogBasis.from_divisor(structure.n, divisor)
 
 print("bracket table: {x,y} = 0, {x,z} = 0, {y,z} = x*y*z")
 print("divisor basis:", ", ".join(basis.labels(NAMES)))

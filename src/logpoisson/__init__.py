@@ -48,7 +48,6 @@ from .logforms import (
 from .complexes import (
     Cochain,
     LieRinehartData,
-    basis_for,
     differential,
     log_derham_complex,
     log_hamiltonian_cochain_map,
@@ -60,7 +59,6 @@ from .cohomology import (
     CohomologyTable,
     DegreeDim,
     SliceWindow,
-    cohomology_dims,
     compare_tables,
     compute_table,
     find_primitive,
@@ -87,8 +85,6 @@ __all__ = [
     "Poly",
     "SliceWindow",
     "UnsupportedDivisor",
-    "basis_for",
-    "cohomology_dims",
     "compare_tables",
     "compute_table",
     "differential",

@@ -34,13 +34,12 @@ from .cohomology import (
     find_primitive,
 )
 from .complexes import (
-    basis_for,
     log_derham_complex,
     log_poisson_complex,
     poisson_complex,
     two_form_cochain,
 )
-from .logforms import DivisionObstruction, log_symplectic_test
+from .logforms import DivisionObstruction, LogBasis, log_symplectic_test
 from .poisson import (
     LogDivisorSpec,
     PoissonStructure,
@@ -91,6 +90,16 @@ def _window(max_degree, buffer) -> SliceWindow:
         raise SpecError(str(err)) from err
 
 
+def _parse_field(text, names: Sequence[str], field: str) -> Poly:
+    if not isinstance(text, str):
+        raise SpecError(f"{field}: expected a polynomial string,"
+                        f" got {type(text).__name__}")
+    try:
+        return parse_poly(text, names)
+    except ParseError as err:
+        raise SpecError(f"{field}: {err}") from err
+
+
 def parse_spec(document) -> ProblemSpec:
     """Validate a problem document (JSON text or an already-loaded dict)."""
     if isinstance(document, (str, bytes)):
@@ -127,10 +136,7 @@ def parse_spec(document) -> ProblemSpec:
         a, b = (index[p] for p in parts)
         if a == b:
             raise SpecError(f"bracket key {key!r} repeats a variable")
-        try:
-            value = parse_poly(bracket_doc[key], names)
-        except ParseError as err:
-            raise SpecError(f"bracket[{key!r}]: {err}") from err
+        value = _parse_field(bracket_doc[key], names, f"bracket[{key!r}]")
         i, j = min(a, b), max(a, b)
         if (i, j) in table:
             raise SpecError(f"duplicate bracket pair {names[i]},{names[j]}")
@@ -141,10 +147,7 @@ def parse_spec(document) -> ProblemSpec:
     if not isinstance(gen_doc, list):
         raise SpecError("'log_generators' must be a list")
     for pos, text in enumerate(gen_doc):
-        try:
-            gens.append(parse_poly(text, names))
-        except ParseError as err:
-            raise SpecError(f"log_generators[{pos}]: {err}") from err
+        gens.append(_parse_field(text, names, f"log_generators[{pos}]"))
 
     window = _window(document.get("max_degree", 8), document.get("buffer"))
 
@@ -276,7 +279,8 @@ def run_check(spec: ProblemSpec) -> CheckReport:
                 for f in report.failures
             ]
             if report.ok:
-                sym = log_symplectic_test(structure, basis_for(structure, divisor))
+                sym = log_symplectic_test(
+                    structure, LogBasis.from_divisor(structure.n, divisor))
                 symplectic = sym.is_log_symplectic
                 det_text = format_poly(sym.determinant, names)
     return CheckReport(not jac, jac, normalization, divisor_error,
@@ -299,7 +303,7 @@ def build_complex(spec: ProblemSpec, kind: str):
     divisor = spec.divisor()
     if divisor is None:
         raise CheckFailure(f"{kind} needs log_generators in the problem document")
-    basis = basis_for(structure, divisor)
+    basis = LogBasis.from_divisor(structure.n, divisor)
     if kind == "log-derham":
         return log_derham_complex(basis)
     report = is_log_principal(structure, divisor)
@@ -433,7 +437,7 @@ def run_prequantize(spec: ProblemSpec, window: SliceWindow) -> PrequantReport:
                         " curvature is a two-cochain")
     data = build_complex(spec, "log-poisson")
     structure = spec.structure()
-    basis = basis_for(structure, spec.divisor())
+    basis = LogBasis.from_divisor(structure.n, spec.divisor())
     names = list(spec.variables)
     labels = basis.labels(names)
     pi = two_form_cochain(structure, basis)

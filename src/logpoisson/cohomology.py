@@ -279,17 +279,6 @@ class DegreeDim:
     stabilized: bool
 
 
-def cohomology_dims(data: LieRinehartData, k: int, window: SliceWindow) -> list[DegreeDim]:
-    """Per-degree dimensions of the k-th cohomology through the filtration.
-
-    The entry at degree d is dim H_{<=d} - dim H_{<=d-1} where
-    H_{<=d} = (ker d^k in F_d) / (im d^{k-1} in F_d); the kernel is exact,
-    the image uses sources up to D + buffer.  An entry is flagged
-    stabilized when it is unchanged under buffer + 1.
-    """
-    return list(compute_table(data, [k], window).rows[k])
-
-
 def _degree_rows(kernel: list[int], image: list[int],
                  wider: list[int]) -> tuple[DegreeDim, ...]:
     rows = []
@@ -329,7 +318,10 @@ def compute_table(data: LieRinehartData, ks: Iterable[int],
                   window: SliceWindow) -> CohomologyTable:
     """Filtered cohomology for each k in ks, eliminating every
     differential involved once: d^k gives the kernel at k and the image
-    at k + 1."""
+    at k + 1.  Row k at degree d is dim H_{<=d} - dim H_{<=d-1} with
+    H_{<=d} = (ker d^k in F_d) / (im d^{k-1} in F_d), the image taken from
+    sources up to D + buffer; an entry unchanged under buffer + 1 is
+    flagged stabilized."""
     ks = sorted(set(ks))
     for k in ks:
         if not 0 <= k <= data.r:

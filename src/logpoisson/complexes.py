@@ -1,17 +1,17 @@
 """Cochain complexes of Lie-Rinehart type, driven by anchors and
 structure constants.
 
-One generic differential serves the three complexes in play: the Poisson
-complex on exact one-forms, the logarithmic Poisson complex on the
-logarithmic basis, and the logarithmic de Rham complex (whose anchors
-are the dual logarithmic vector fields and whose structure constants
-vanish).  Components of a k-cochain are indexed by strictly increasing
-k-tuples of basis indices.
+One generic differential serves the three complexes in play: the
+logarithmic Poisson complex on the logarithmic basis, the Poisson
+complex (the same construction on exact one-forms, every weight 1), and
+the logarithmic de Rham complex (whose anchors are the dual fields of
+the basis and whose structure constants vanish).  Components of a
+k-cochain are indexed by strictly increasing k-tuples of basis indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
@@ -23,7 +23,7 @@ from .logforms import (
     poly_det,
     structure_constants,
 )
-from .poisson import Derivation, LogDivisorSpec, PoissonStructure
+from .poisson import Derivation, PoissonStructure
 from .poly import Poly, Scalar
 
 
@@ -202,17 +202,10 @@ def differential(data: LieRinehartData, cochain: Cochain) -> Cochain:
 
 
 def poisson_complex(structure: PoissonStructure) -> LieRinehartData:
-    """Complex on exact one-forms: anchors are Hamiltonian derivations,
-    brackets of basis forms are the differentials of the generator
-    brackets."""
-    n = structure.n
-    anchors = tuple(structure.hamiltonian(structure.variable(j)) for j in range(n))
-    sc = {}
-    for (i, j), p in structure.table.items():
-        vec = tuple(p.partial(l) for l in range(n))
-        if any(vec):
-            sc[(i, j)] = vec
-    return LieRinehartData(n, n, anchors, sc, name="poisson")
+    """Complex on exact one-forms: the logarithmic Poisson complex along
+    the empty divisor, where every basis weight is 1."""
+    data = log_poisson_complex(structure, LogBasis.all_exact(structure.n))
+    return replace(data, name="poisson")
 
 
 def log_poisson_complex(structure: PoissonStructure, basis: LogBasis) -> LieRinehartData:
@@ -221,27 +214,20 @@ def log_poisson_complex(structure: PoissonStructure, basis: LogBasis) -> LieRine
     n = structure.n
     anchors = tuple(log_hamiltonian_basis(structure, f) for f in basis.forms)
     sc = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = structure_constants(structure, basis, i, j).coeffs
-            if any(vec):
-                sc[(i, j)] = vec
+    for pair in combinations(range(n), 2):
+        vec = structure_constants(structure, basis, *pair).coeffs
+        if any(vec):
+            sc[pair] = vec
     return LieRinehartData(n, n, anchors, sc, name="log-poisson")
 
 
 def log_derham_complex(basis: LogBasis) -> LieRinehartData:
     """Exterior-derivative complex on logarithmic forms, as Lie-Rinehart
-    data: the anchors are the commuting dual vector fields x_j d/dx_j
-    (d/dx_l on non-divisor variables) and all brackets vanish."""
+    data: the anchors are the commuting dual fields of the basis and all
+    brackets vanish."""
     n = basis.n
-    anchors = []
-    for form in basis.forms:
-        coeffs = [Poly.zero(n) for _ in range(n)]
-        coeffs[form.index] = (
-            Poly.variable(n, form.index) if form.is_log else Poly.const(n, 1)
-        )
-        anchors.append(Derivation(tuple(coeffs)))
-    return LieRinehartData(n, n, tuple(anchors), {}, name="log-derham")
+    anchors = tuple(form.dual_field(n) for form in basis.forms)
+    return LieRinehartData(n, n, anchors, {}, name="log-derham")
 
 
 def log_hamiltonian_cochain_map(structure: PoissonStructure, basis: LogBasis,
@@ -276,14 +262,5 @@ def two_form_cochain(structure: PoissonStructure, basis: LogBasis) -> Cochain:
     the component on (i, j) is the pairwise scalar of the basis forms.
     This is the curvature class tested by prequantization."""
     n = structure.n
-    comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = pair_scalar(structure, basis, i, j)
-            if s:
-                comps[(i, j)] = s
-    return Cochain(2, n, n, comps)
-
-
-def basis_for(structure: PoissonStructure, divisor: LogDivisorSpec) -> LogBasis:
-    return LogBasis.from_divisor(structure.n, divisor)
+    pairs = combinations(range(n), 2)
+    return Cochain(2, n, n, {p: pair_scalar(structure, basis, *p) for p in pairs})

@@ -2,10 +2,14 @@
 
 With every divisor generator normalized to a single variable, the module
 of logarithmic differentials is free with one basis form per ambient
-variable: dx_j/x_j where x_j carries a divisor, dx_l elsewhere.  A
-one-form is then just a coefficient vector, and the logarithmic
-Hamiltonian map, the bracket on one-forms and the nondegeneracy test all
-become exact polynomial computations.
+variable.  Each basis form is dx_j/h_j for a weight h_j: h_j = x_j where
+x_j carries a divisor and h_j = 1 elsewhere.  Its dual vector field is
+h_j d/dx_j, so the coefficient of d f on the form is h_j df/dx_j, and
+every bracket of basis forms is a generator bracket divided by weights.
+The Poisson complex is the case where every weight is 1.  A one-form is
+then just a coefficient vector, and the logarithmic Hamiltonian map, the
+bracket on one-forms and the nondegeneracy test all become exact
+polynomial computations.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .poly import Poly, Scalar
 
 
 class DivisionObstruction(ArithmeticError):
-    """A required exact division by a divisor variable failed.
+    """A required exact division by a basis weight failed.
 
     This signals that the principal logarithmic condition does not hold
     (or was not checked) for the structure in use; it is never a
@@ -28,10 +32,21 @@ class DivisionObstruction(ArithmeticError):
 
 @dataclass(frozen=True)
 class BasisForm:
-    """dx_j/x_j when is_log, else dx_j."""
+    """The form dx_j/h with weight h = x_j when is_log, else h = 1."""
 
     index: int
     is_log: bool
+
+    def weight(self, nvars: int) -> Poly:
+        if self.is_log:
+            return Poly.variable(nvars, self.index)
+        return Poly.const(nvars, 1)
+
+    def dual_field(self, nvars: int) -> Derivation:
+        """h d/dx_j, the vector field that pairs to 1 with this form."""
+        coeffs = [Poly.zero(nvars)] * nvars
+        coeffs[self.index] = self.weight(nvars)
+        return Derivation(tuple(coeffs))
 
     def label(self, names: Sequence[str]) -> str:
         name = names[self.index]
@@ -93,27 +108,25 @@ class OneForm:
         return OneForm(tuple(factor * a for a in self.coeffs))
 
 
-def _divide_by_variable(poly: Poly, var: int, what: str) -> Poly:
-    q = poly.exact_div(Poly.variable(poly.nvars, var))
+def _divide(poly: Poly, weight: Poly, what: str) -> Poly:
+    q = poly.exact_div(weight)
     if q is None:
         raise DivisionObstruction(
-            f"{what}: coefficient is not divisible by variable {var};"
+            f"{what}: coefficient is not divisible by the basis weight"
+            f" with exponents {weight.leading_monomial()};"
             " the structure is not principal logarithmic along the divisor"
         )
     return q
 
 
 def log_hamiltonian_basis(structure: PoissonStructure, form: BasisForm) -> Derivation:
-    """Image of a basis form: the Hamiltonian derivation of x_j, divided
-    by x_j for the logarithmic forms."""
-    ham = structure.hamiltonian(structure.variable(form.index))
-    if not form.is_log:
-        return ham
-    coeffs = tuple(
-        _divide_by_variable(c, form.index, "log Hamiltonian") if c else c
-        for c in ham.coeffs
-    )
-    return Derivation(coeffs)
+    """Image of a basis form: the Hamiltonian derivation of x_j, with
+    coefficients {x_j, x_l}, divided by the form's weight."""
+    weight = form.weight(structure.n)
+    return Derivation(tuple(
+        _divide(structure.entry(form.index, l), weight, "log Hamiltonian")
+        for l in range(structure.n)
+    ))
 
 
 def log_hamiltonian(structure: PoissonStructure, basis: LogBasis, alpha: OneForm) -> Derivation:
@@ -132,36 +145,26 @@ def log_hamiltonian(structure: PoissonStructure, basis: LogBasis, alpha: OneForm
 
 def express_d(basis: LogBasis, f: Poly) -> OneForm:
     """The differential of f expanded in the basis: the coefficient of
-    dx_j/x_j is x_j df/dx_j, the coefficient of dx_l is df/dx_l."""
-    coeffs = []
-    for form in basis.forms:
-        df = f.partial(form.index)
-        if form.is_log:
-            df = Poly.variable(f.nvars, form.index) * df
-        coeffs.append(df)
-    return OneForm(tuple(coeffs))
+    each form is its dual field applied to f."""
+    return OneForm(tuple(form.dual_field(f.nvars).apply(f) for form in basis.forms))
 
 
 def pair_scalar(structure: PoissonStructure, basis: LogBasis, i: int, j: int) -> Poly:
-    """{x_i, x_j} divided by the divisor variables among the two forms.
+    """{x_i, x_j} divided by the weights of basis forms i and j.
 
-    This is both the scalar whose differential is the bracket of basis
-    forms and the value of the induced two-form on the basis pair.
+    This is the scalar whose differential is the bracket of basis forms,
+    the value of the induced two-form on the basis pair, and the entry
+    (j, i) of the logarithmic Hamiltonian matrix.
     """
     value = structure.entry(i, j)
     if value.is_zero():
         return value
-    if basis.forms[i].is_log:
-        value = _divide_by_variable(value, i, "basis bracket")
-    if basis.forms[j].is_log:
-        value = _divide_by_variable(value, j, "basis bracket")
-    return value
+    weight = basis.forms[i].weight(structure.n) * basis.forms[j].weight(structure.n)
+    return _divide(value, weight, "basis bracket")
 
 
 def structure_constants(structure: PoissonStructure, basis: LogBasis, i: int, j: int) -> OneForm:
     """The bracket of basis forms i and j, as a one-form."""
-    if i == j:
-        return OneForm.zero(basis.n, structure.n)
     return express_d(basis, pair_scalar(structure, basis, i, j))
 
 
@@ -192,21 +195,11 @@ def form_bracket(structure: PoissonStructure, basis: LogBasis,
 
 
 def log_hamiltonian_matrix(structure: PoissonStructure, basis: LogBasis) -> list[list[Poly]]:
-    """Matrix of the logarithmic Hamiltonian map in the dual basis of
-    logarithmic vector fields (x_j d/dx_j on divisor variables, d/dx_l
-    elsewhere).  Column j expands the image of basis form j."""
-    n = structure.n
-    cols = []
-    for form in basis.forms:
-        image = log_hamiltonian_basis(structure, form)
-        col = []
-        for i, row_form in enumerate(basis.forms):
-            c = image.coeffs[i]
-            if row_form.is_log and c:
-                c = _divide_by_variable(c, i, "dual basis expansion")
-            col.append(c)
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """Matrix of the logarithmic Hamiltonian map in the dual fields of the
+    basis.  Column j expands the image of basis form j: its entry in row
+    i is {x_j, x_i} over both weights, the pairwise scalar (j, i)."""
+    n = basis.n
+    return [[pair_scalar(structure, basis, j, i) for j in range(n)] for i in range(n)]
 
 
 def poly_det(matrix: Sequence[Sequence[Poly]], nvars: int) -> Poly:

@@ -34,13 +34,6 @@ class Derivation:
                 out = out + c * f.partial(j)
         return out
 
-    def __call__(self, f: Poly) -> Poly:
-        return self.apply(f)
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Derivation":
-        return cls(tuple(Poly.zero(nvars) for _ in range(nvars)))
-
 
 class PoissonStructure:
     """Skew bracket table on generators, with {x_i, x_j} stored for i < j."""

@@ -19,10 +19,6 @@ Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -118,13 +114,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0,) * self.nvars}
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms[(0,) * self.nvars]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

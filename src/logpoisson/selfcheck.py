@@ -26,7 +26,6 @@ from typing import Callable
 from .complexes import (
     Cochain,
     LieRinehartData,
-    basis_for,
     differential,
     log_derham_complex,
     log_hamiltonian_cochain_map,
@@ -63,19 +62,19 @@ def p3(text: str) -> Poly:
 def setup_x() -> tuple[PoissonStructure, LogBasis]:
     """{x,y} = x along x: log-symplectic."""
     P = PoissonStructure(XY, {(0, 1): p2("x")})
-    return P, basis_for(P, LogDivisorSpec.normalize([p2("x")]))
+    return P, LogBasis.from_divisor(P.n, LogDivisorSpec.normalize([p2("x")]))
 
 
 def setup_x2() -> tuple[PoissonStructure, LogBasis]:
     """{x,y} = x^2 along x^2: degenerate logarithmic Hamiltonian map."""
     P = PoissonStructure(XY, {(0, 1): p2("x^2")})
-    return P, basis_for(P, LogDivisorSpec.normalize([p2("x^2")]))
+    return P, LogBasis.from_divisor(P.n, LogDivisorSpec.normalize([p2("x^2")]))
 
 
 def setup_xyz() -> tuple[PoissonStructure, LogBasis]:
     """{y,z} = xyz along x, y and z."""
     P = PoissonStructure(XYZ, {(1, 2): p3("x*y*z")})
-    return P, basis_for(P, LogDivisorSpec.normalize([p3("x"), p3("y"), p3("z")]))
+    return P, LogBasis.from_divisor(P.n, LogDivisorSpec.normalize([p3("x"), p3("y"), p3("z")]))
 
 
 def worked_structures() -> list[tuple[PoissonStructure, LogBasis]]:

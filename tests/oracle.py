@@ -5,7 +5,10 @@ differentials are hand-written closed forms, matrices are dense Fraction
 rows reduced by plain Gaussian elimination, and filtered intersections
 use dim(U meet W) = dim U + dim W - dim(U + W).  The log de Rham
 differential is also written out directly, as the wedge of the expanded
-differential with each basis form, to check the generic engine.
+differential with each basis form, to check the generic engine.  The
+anchors, structure constants and Hamiltonian matrix of each complex are
+written out from their definitions, one branch per kind of basis form,
+to check the package's single weighted frame.
 """
 
 from fractions import Fraction
@@ -13,6 +16,7 @@ from itertools import combinations
 
 from logpoisson.complexes import Cochain
 from logpoisson.logforms import express_d
+from logpoisson.poisson import Derivation
 from logpoisson.poly import Poly, monomials_of_degree, parse_poly
 
 XY = ["x", "y"]
@@ -283,3 +287,82 @@ def log_derham_differential(basis, cochain):
             signed = -g if pos % 2 else g
             out[key] = out.get(key, Poly.zero(n)) + signed
     return Cochain(cochain.k + 1, n, n, out)
+
+
+# -- anchors, structure constants and the Hamiltonian matrix, directly -------
+#
+# logvars is the set of divisor variables: the basis form of x_j is dx_j/x_j
+# when j is in logvars and dx_j otherwise.
+
+
+def _over_variable(poly, j):
+    q = poly.exact_div(Poly.variable(poly.nvars, j))
+    assert q is not None, f"not divisible by variable {j}"
+    return q
+
+
+def poisson_anchors(structure):
+    """The Hamiltonian derivations {x_j, -} of the generators."""
+    return tuple(structure.hamiltonian(structure.variable(j))
+                 for j in range(structure.n))
+
+
+def poisson_structure_constants(structure):
+    """[dx_i, dx_j] = d{x_i, x_j}: the partials of each nonzero bracket."""
+    n = structure.n
+    sc = {}
+    for (i, j), p in structure.table.items():
+        vec = tuple(p.partial(l) for l in range(n))
+        if any(vec):
+            sc[(i, j)] = vec
+    return sc
+
+
+def log_anchors(structure, logvars):
+    """H(x_j), exact-divided by x_j for a divisor variable."""
+    out = []
+    for j, ham in enumerate(poisson_anchors(structure)):
+        if j in logvars:
+            ham = Derivation(tuple(_over_variable(c, j) if c else c for c in ham.coeffs))
+        out.append(ham)
+    return tuple(out)
+
+
+def log_structure_constants(structure, logvars):
+    """[e_i, e_j] = d({x_i, x_j} / divisor variables among i, j), with the
+    coefficient of dx_l/x_l equal to x_l times the partial along x_l."""
+    n = structure.n
+    sc = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = structure.entry(i, j)
+            for t in (i, j):
+                if t in logvars and q:
+                    q = _over_variable(q, t)
+            vec = tuple(
+                Poly.variable(n, l) * q.partial(l) if l in logvars else q.partial(l)
+                for l in range(n)
+            )
+            if any(vec):
+                sc[(i, j)] = vec
+    return sc
+
+
+def derham_anchors(n, logvars):
+    """x_j d/dx_j on divisor variables, d/dx_j elsewhere."""
+    out = []
+    for j in range(n):
+        coeffs = [Poly.zero(n)] * n
+        coeffs[j] = Poly.variable(n, j) if j in logvars else Poly.const(n, 1)
+        out.append(Derivation(tuple(coeffs)))
+    return tuple(out)
+
+
+def log_hamiltonian_matrix(structure, logvars):
+    """Column j is log anchor j; row i divides by x_i on divisor rows."""
+    anchors = log_anchors(structure, logvars)
+    n = structure.n
+    return [[_over_variable(anchors[j].coeffs[i], i)
+             if i in logvars and anchors[j].coeffs[i] else anchors[j].coeffs[i]
+             for j in range(n)] for i in range(n)]
+

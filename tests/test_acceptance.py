@@ -17,7 +17,6 @@ import random
 
 from logpoisson.cohomology import (
     SliceWindow,
-    cohomology_dims,
     compare_tables,
     compute_table,
     find_primitive,
@@ -432,8 +431,8 @@ def test_criterion_9_stabilization():
         shift = max(data.degree_shift(), 0)
         t0 = table(name)
         for k in ks:
-            plus1 = cohomology_dims(data, k, SliceWindow(D, base + 1))
-            plus2 = cohomology_dims(data, k, SliceWindow(D, base + 2))
+            plus1 = compute_table(data, [k], SliceWindow(D, base + 1)).rows[k]
+            plus2 = compute_table(data, [k], SliceWindow(D, base + 2)).rows[k]
             for d in range(D - shift + 1):
                 entry = t0.entry(k, d)
                 if not entry.stabilized:

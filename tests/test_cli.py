@@ -307,6 +307,17 @@ def test_window_past_the_basis_limit_is_rejected(tmp_path, command):
     assert f"the limit is {MAX_BASIS_SIZE}" in err
 
 
+@pytest.mark.parametrize("doc, field", [
+    (dict(EX1, bracket={"x,y": 5}), "bracket['x,y']"),
+    (dict(EX1, log_generators=[1]), "log_generators[0]"),
+])
+def test_non_string_polynomials_are_rejected(tmp_path, doc, field):
+    code, out, err = run_main_err(["check"], doc, tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert out == ""
+    assert f"{field}: expected a polynomial string, got int" in err
+
+
 @pytest.mark.parametrize("field", ["max_degree", "buffer"])
 @pytest.mark.parametrize("value", [True, False, -1, 2.0, "3"])
 def test_window_fields_must_be_plain_integers(tmp_path, field, value):

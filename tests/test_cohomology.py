@@ -18,7 +18,6 @@ from logpoisson.cohomology import (
     basis_cochain,
     cochain_basis_keys,
     cochain_to_vector,
-    cohomology_dims,
     compare_tables,
     compute_table,
     find_primitive,
@@ -26,13 +25,13 @@ from logpoisson.cohomology import (
 from logpoisson.complexes import (
     Cochain,
     LieRinehartData,
-    basis_for,
     differential,
     log_derham_complex,
     log_poisson_complex,
     poisson_complex,
     two_form_cochain,
 )
+from logpoisson.logforms import LogBasis
 from logpoisson.poisson import LogDivisorSpec, PoissonStructure, is_log_principal
 from logpoisson.poly import Poly
 from logpoisson.selfcheck import (
@@ -45,6 +44,7 @@ from logpoisson.selfcheck import (
     setup_xyz,
     worked_structures,
 )
+from conftest import polys
 
 
 def dims_of(rows):
@@ -119,21 +119,13 @@ def test_stencil_is_read_off_the_engine(monkeypatch):
     assert len(calls) == 3 * (L.nvars + 1)
 
 
-def polys(nvars, max_exp=2, max_terms=4):
-    """Sparse polynomials with small nonzero rational coefficients."""
-    mono = st.tuples(*[st.integers(0, max_exp)] * nvars)
-    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
-    return st.dictionaries(mono, coeff, max_size=max_terms).map(
-        lambda terms: Poly(nvars, terms))
-
-
 def generated_complexes(P, divisor):
     """The Poisson complex of P, and both log complexes when P is
     principal logarithmic along the divisor (checked, not assumed)."""
     yield poisson_complex(P)
     spec = LogDivisorSpec.normalize(divisor)
     assert is_log_principal(P, spec).ok
-    B = basis_for(P, spec)
+    B = LogBasis.from_divisor(P.n, spec)
     yield log_poisson_complex(P, B)
     yield log_derham_complex(B)
 
@@ -279,7 +271,7 @@ def test_rational_bracket_tables_match_oracle():
     # denominators 3 and 2, and the dense oracle works in fractions
     g = Poly(2, {(0, 0): Fraction(1, 3), (1, 1): Fraction(1, 2)})
     P = PoissonStructure(XY, {(0, 1): p2("x") * g})
-    B = basis_for(P, LogDivisorSpec.normalize([p2("x")]))
+    B = LogBasis.from_divisor(P.n, LogDivisorSpec.normalize([p2("x")]))
     L = log_poisson_complex(P, B)
     assert Stencil(L, 1).scale == {(0,): 6, (1,): 6}
     table = compute_table(L, [0, 1, 2], SliceWindow(4))
@@ -332,14 +324,14 @@ def test_buffer_monotonicity_and_stability():
     base = SliceWindow(6).resolve_buffer(L)
     cums = {}
     for extra in (0, 1, 2):
-        rows = cohomology_dims(L, 1, SliceWindow(6, base + extra))
+        rows = compute_table(L, [1], SliceWindow(6, base + extra)).rows[1]
         cums[extra] = [r.cumulative for r in rows]
     for d in range(7):
         assert cums[0][d] >= cums[1][d] >= cums[2][d]
-    rows = cohomology_dims(L, 1, SliceWindow(6))
+    rows = compute_table(L, [1], SliceWindow(6)).rows[1]
     assert all(r.stabilized for r in rows)
     for extra in (1, 2):
-        again = cohomology_dims(L, 1, SliceWindow(6, base + extra))
+        again = compute_table(L, [1], SliceWindow(6, base + extra)).rows[1]
         assert dims_of(again) == dims_of(rows)
 
 
@@ -351,7 +343,7 @@ def test_image_inside_kernel_per_window():
         for key in cochain_basis_keys(L, 0, 6):
             c = basis_cochain(L, key)
             assert differential(L, differential(L, c)).is_zero()
-        rows1 = cohomology_dims(L, 1, SliceWindow(5))
+        rows1 = compute_table(L, [1], SliceWindow(5)).rows[1]
         assert all(r.dim >= 0 for r in rows1)
 
 
@@ -373,8 +365,8 @@ def test_tables_invariant_under_basis_permutation():
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
         Lp = permute(L, perm)
         for k in (1, 3):
-            a = cohomology_dims(L, k, SliceWindow(4))
-            b = cohomology_dims(Lp, k, SliceWindow(4))
+            a = compute_table(L, [k], SliceWindow(4)).rows[k]
+            b = compute_table(Lp, [k], SliceWindow(4)).rows[k]
             assert dims_of(a) == dims_of(b), perm
 
 

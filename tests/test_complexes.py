@@ -3,9 +3,16 @@
 The randomized closed-form, d-squared and chain-map checks live in
 logpoisson.selfcheck (run by acceptance criterion 8); here the generic
 log de Rham differential is also checked against the direct exterior
-derivative in tests/oracle.py.
+derivative in tests/oracle.py, and the complexes built from basis
+weights against their direct definitions there, on generated structures.
 """
 
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
 from logpoisson.complexes import (
     Cochain,
     differential,
@@ -15,9 +22,11 @@ from logpoisson.complexes import (
     poisson_complex,
     two_form_cochain,
 )
-from logpoisson.poisson import Derivation
+from logpoisson.logforms import DivisionObstruction, LogBasis, log_hamiltonian_matrix
+from logpoisson.poisson import Derivation, LogDivisorSpec, PoissonStructure, is_log_principal
 from logpoisson.poly import Poly
 from logpoisson.selfcheck import (
+    XY,
     p2,
     p3,
     random_cochain,
@@ -26,7 +35,7 @@ from logpoisson.selfcheck import (
     setup_xyz,
     worked_structures,
 )
-from conftest import random_poly
+from conftest import polys, random_poly
 from oracle import log_derham_differential
 
 
@@ -70,6 +79,68 @@ def test_poisson_complex_data():
     P3, _ = setup_xyz()
     L3 = poisson_complex(P3)
     assert L3.sc == {(1, 2): (p3("y*z"), p3("x*z"), p3("x*y"))}
+
+
+# -- the weighted frame against the direct definitions -----------------
+
+
+def assert_frame_matches_direct(P, logvars):
+    """Poisson data, log Poisson data, de Rham anchors and Hamiltonian
+    matrices against tests/oracle.py; logvars are the divisor variables."""
+    n = P.n
+    poi = poisson_complex(P)
+    assert poi.name == "poisson"
+    assert poi.anchors == oracle.poisson_anchors(P)
+    assert poi.sc == oracle.poisson_structure_constants(P)
+    assert log_hamiltonian_matrix(P, LogBasis.all_exact(n)) == \
+        oracle.log_hamiltonian_matrix(P, set())
+    spec = LogDivisorSpec.normalize([Poly.variable(n, j) for j in sorted(logvars)])
+    assert is_log_principal(P, spec).ok
+    B = LogBasis.from_divisor(n, spec)
+    log = log_poisson_complex(P, B)
+    assert log.anchors == oracle.log_anchors(P, logvars)
+    assert log.sc == oracle.log_structure_constants(P, logvars)
+    assert log_derham_complex(B).anchors == oracle.derham_anchors(n, logvars)
+    assert log_hamiltonian_matrix(P, B) == oracle.log_hamiltonian_matrix(P, logvars)
+
+
+@settings(max_examples=25, deadline=None)
+@given(f=polys(2))
+def test_frame_matches_direct_on_plane_brackets(f):
+    # {x,y} = x*f is Poisson and principal logarithmic along x
+    P = PoissonStructure(XY, {(0, 1): Poly.variable(2, 0) * f})
+    assert_frame_matches_direct(P, {0})
+
+
+@st.composite
+def log_canonical(draw):
+    """{x_i, x_j} = c_ij x_i x_j on 3 or 4 variables, with a nonempty set
+    of divisor variables; Poisson and principal logarithmic for any c."""
+    n = draw(st.integers(3, 4))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            expo = tuple(int(t in (i, j)) for t in range(n))
+            table[(i, j)] = Poly.monomial(n, expo, draw(coeff))
+    logvars = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return PoissonStructure("xyzw"[:n], table), logvars
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=log_canonical())
+def test_frame_matches_direct_on_log_canonical_brackets(case):
+    P, logvars = case
+    assert not P.jacobi_failures()
+    assert_frame_matches_direct(P, logvars)
+
+
+def test_log_poisson_complex_needs_the_log_condition():
+    # {x,y} = 1 is not divisible by x, so dx/x has no log Hamiltonian image
+    P = PoissonStructure(XY, {(0, 1): p2("1")})
+    B = LogBasis.from_divisor(2, LogDivisorSpec.normalize([p2("x")]))
+    with pytest.raises(DivisionObstruction):
+        log_poisson_complex(P, B)
 
 
 def test_degree_shift():

@@ -40,8 +40,11 @@ def test_basis_layout():
     _, B = setup_x()
     assert B.forms == (BasisForm(0, True), BasisForm(1, False))
     assert B.labels(XY) == ["dx/x", "dy"]
+    assert [f.weight(2) for f in B.forms] == [p2("x"), p2("1")]
+    assert [f.dual_field(2) for f in B.forms] == [
+        Derivation((p2("x"), Poly.zero(2))), Derivation((Poly.zero(2), p2("1")))]
     _, B3 = setup_xyz()
-    assert all(f.is_log for f in B3.forms)
+    assert [f.weight(3) for f in B3.forms] == [p3("x"), p3("y"), p3("z")]
 
 
 def test_log_hamiltonian_basis_examples():
