@@ -7,12 +7,13 @@ not graded, so images are computed from sources up to degree D + buffer
 and then intersected with F_d by exact row reduction; a stabilization
 flag records whether an entry survives enlarging the buffer.
 
-All elimination is exact and fraction-free.  Sparse integer vectors are
-keyed by (degree, component tuple, monomial), so the natural tuple order
-is degree-compatible and "reduce at the largest key" yields a basis
-whose pivot degrees read off the filtered intersection dimensions.
-Columns are integer multiples of the differential's columns; a nonzero
-multiple spans the same line, so no rank or pivot changes.
+All elimination is exact and fraction-free.  A coordinate (degree,
+component tuple, monomial) of the sliced cochain space is packed into one
+ordered int (see Coordinates) whose order is the tuple order, so it is
+degree-compatible and "reduce at the largest key" yields a basis whose
+pivot degrees read off the filtered intersection dimensions.  Columns are
+integer multiples of the differential's columns; a nonzero multiple spans
+the same line, so no rank or pivot changes.
 """
 
 from __future__ import annotations
@@ -21,20 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, gcd, lcm
-from operator import add
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import Cochain, LieRinehartData, differential
 from .poly import Poly, monomials_of_degree
 
-# a coordinate of the sliced cochain space
+# a coordinate of the sliced cochain space, as callers see it
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
-Vector = dict[Key, Fraction]
-IntVector = dict[Key, int]
 
 # The most basis cochains one elimination may take.  The windows of the
 # tests, demos and benchmark need at most a few thousand; a far larger
-# window would exhaust memory on its key list before the first column.
+# window would run for hours and exhaust memory on its echelon rows.
 MAX_BASIS_SIZE = 100_000
 
 
@@ -69,8 +68,8 @@ class SliceWindow:
 
 
 def basis_size(data: LieRinehartData, k: int, max_degree: int) -> int:
-    """Size of cochain_basis_keys(data, k, max_degree), counted without
-    building it; raises WindowTooLarge above MAX_BASIS_SIZE."""
+    """Number of basis k-cochains of degree <= max_degree, counted
+    without building them; raises WindowTooLarge above MAX_BASIS_SIZE."""
     if k > data.r or max_degree < 0:
         return 0
     size = comb(data.r, k) * comb(max_degree + data.nvars, data.nvars)
@@ -81,40 +80,83 @@ def basis_size(data: LieRinehartData, k: int, max_degree: int) -> int:
     return size
 
 
-def cochain_basis_keys(data: LieRinehartData, k: int, max_degree: int) -> list[Key]:
-    """Deterministic basis of the k-cochains with coefficients of total
-    degree <= max_degree, ordered by (degree, tuple, monomial)."""
-    if not basis_size(data, k, max_degree):
-        return []
-    keys = []
-    for d in range(max_degree + 1):
-        for tup in combinations(range(data.r), k):
-            for mono in monomials_of_degree(data.nvars, d):
-                keys.append((d, tup, mono))
-    keys.sort()
-    return keys
+class Coordinates:
+    """Ordered int coordinates of the sliced cochain space, base B.
+
+    The key (d, T, m) of x^m e_T, with T of rank t among the index tuples
+    of its length in lexicographic order, packs to
+
+        (d * 2^r + t) * B^n + sum_i m_i * B^(n-1-i).
+
+    While every exponent is below B, the ints of one cochain degree
+    compare like the key tuples, and the map is linear: moving x^m e_T to
+    x^(m+s) e_U adds one offset, whatever m is.  Negative ints are never
+    keys; the echelon keeps them for bookkeeping.
+    """
+
+    def __init__(self, data: LieRinehartData, base: int):
+        self.r, self.nvars, self.base = data.r, data.nvars, base
+        self.block = base ** data.nvars
+        self.stride = self.block << data.r  # one degree
+        self.tuples = [list(combinations(range(data.r), k)) for k in range(data.r + 1)]
+        self.rank = {tup: i for tuples in self.tuples for i, tup in enumerate(tuples)}
+        self.places = [base ** (data.nvars - 1 - i) for i in range(data.nvars)]
+
+    def _code(self, mono: Sequence[int]) -> int:
+        return sum(map(mul, mono, self.places))
+
+    def pack(self, key: Key) -> int:
+        d, tup, mono = key
+        if not all(0 <= e < self.base for e in mono):
+            raise ValueError(f"exponents {mono} outside 0..{self.base - 1}")
+        return (d << self.r | self.rank[tup]) * self.block + self._code(mono)
+
+    def unpack(self, code: int, k: int) -> Key:
+        d, rest = divmod(code, self.stride)
+        rank, rest = divmod(rest, self.block)
+        mono = []
+        for place in self.places:
+            e, rest = divmod(rest, place)
+            mono.append(e)
+        return d, self.tuples[k][rank], tuple(mono)
+
+    def degree(self, code: int) -> int:
+        return code // self.stride
+
+    def offset(self, source: tuple[int, ...], target: tuple[int, ...],
+               shift: Sequence[int]) -> int:
+        """pack(d + |s|, target, m + s) - pack(d, source, m) for every m."""
+        steps = (sum(shift) << self.r) + self.rank[target] - self.rank[source]
+        return steps * self.block + self._code(shift)
+
+    def keys(self, k: int, degree: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        """(packed key, T, m) for the basis k-cochains x^m e_T of the
+        given degree, in ascending order."""
+        monos = [(self._code(m), m) for m in reversed(monomials_of_degree(self.nvars, degree))]
+        for tup in combinations(range(self.r), k):
+            start = (degree << self.r | self.rank[tup]) * self.block
+            for code, mono in monos:
+                yield start + code, tup, mono
 
 
-def basis_cochain(data: LieRinehartData, key: Key) -> Cochain:
-    _, tup, mono = key
-    return Cochain(len(tup), data.r, data.nvars,
-                   {tup: Poly.monomial(data.nvars, mono)})
-
-
-def cochain_to_vector(c: Cochain) -> Vector:
-    vec: Vector = {}
+def cochain_to_vector(c: Cochain) -> dict[Key, Fraction]:
+    vec = {}
     for tup, poly in c.comps.items():
         for mono, coeff in poly.terms.items():
             vec[(sum(mono), tup, mono)] = coeff
     return vec
 
 
-def vector_to_cochain(vec: Vector, k: int, data: LieRinehartData) -> Cochain:
+def vector_to_cochain(vec: dict[Key, Fraction], k: int, data: LieRinehartData) -> Cochain:
     comps: dict[tuple[int, ...], dict] = {}
     for (_, tup, mono), coeff in vec.items():
         comps.setdefault(tup, {})[mono] = coeff
     return Cochain(k, data.r, data.nvars,
                    {t: Poly(data.nvars, terms) for t, terms in comps.items()})
+
+
+# column(packed key, T, m) -> packed coordinates of one compiled column
+Column = Callable[[int, tuple[int, ...], tuple[int, ...]], dict[int, int]]
 
 
 class Stencil:
@@ -124,11 +166,11 @@ class Stencil:
     d(f e_T)_U = sum_j a_{U,j} df/dx_j + b_U f.  Both parts are read off
     the generic engine, b = d(1 e_T) and a_{., j} = d(x_j e_T) - x_j b,
     so nothing is written out by hand.  A term (j, U, shifts) stores, for
-    each monomial of a_{U,j} (j None: of b_U), the exponent and degree
-    shift it applies to the source monomial with its coefficient; a
-    column is then a loop over terms into the sparse vector.  The
+    each monomial of a_{U,j} (j None: of b_U), the exponent shift it
+    applies to the source monomial with its coefficient.  The
     coefficients of T are cleared of denominators by one common multiple,
-    scale[T], so columns have integer entries.
+    scale[T], so columns have integer entries.  max_shift is the largest
+    degree shift of a term.
     """
 
     def __init__(self, data: LieRinehartData, k: int):
@@ -151,51 +193,67 @@ class Stencil:
             self.terms[tup] = [(j, target, _shifts(poly, j, scale))
                                for j, target, poly in parts]
             self.scale[tup] = scale
+        self.max_shift = max((sum(shift) for terms in self.terms.values()
+                              for _, _, shifts in terms for shift, _ in shifts), default=0)
 
-    def column(self, key: Key) -> IntVector:
-        """Coordinates of scale[T] * d(x^m e_T) for the basis key (deg m, T, m)."""
-        deg, tup, mono = key
-        vec: dict = {}
-        get = vec.get
-        for j, target, shifts in self.terms[tup]:
-            if j is None:
-                scale = 1
-            else:
-                scale = mono[j]
-                if not scale:
-                    continue
-            for shift, dshift, coeff in shifts:
-                at = (deg + dshift, target, tuple(map(add, mono, shift)))
-                vec[at] = get(at, 0) + coeff * scale
-        return {at: c for at, c in vec.items() if c}
+    def compile(self, coords: Coordinates) -> Column:
+        """The column of scale[T] * d(x^m e_T) for a basis key of coords,
+        each term one offset from the source key.  coords must hold the
+        targets: its base above every source degree plus max_shift."""
+        groups = {}
+        for tup, terms in self.terms.items():
+            by_j: dict[Optional[int], list] = {}
+            for j, target, shifts in terms:
+                by_j.setdefault(j, []).extend(
+                    (coords.offset(tup, target, shift), coeff) for shift, coeff in shifts)
+            groups[tup] = tuple(by_j.items())
+
+        def column(src: int, tup: tuple[int, ...], mono: tuple[int, ...]) -> dict[int, int]:
+            vec: dict[int, int] = {}
+            get = vec.get
+            for j, entries in groups[tup]:
+                if j is None:
+                    scale = 1
+                else:
+                    # d/dx_j of x^m: m_j x^(m - e_j), absorbed by the shift
+                    scale = mono[j]
+                    if not scale:
+                        continue
+                for offset, coeff in entries:
+                    at = src + offset
+                    vec[at] = get(at, 0) + coeff * scale
+            return {at: c for at, c in vec.items() if c}
+
+        return column
 
 
 def _shifts(poly: Poly, j: Optional[int], scale: int) -> tuple:
-    # (exponent shift, degree shift, integer coefficient) per monomial; a
-    # term with j also divides by x_j, which the source's x_j^(m_j) absorbs
+    # (exponent shift, integer coefficient) per monomial; a term with j
+    # also divides by x_j, which the source's x_j^(m_j) absorbs
     out = []
     for mono, coeff in poly.terms.items():
         shift = list(mono)
         if j is not None:
             shift[j] -= 1
-        out.append((tuple(shift), sum(shift), coeff.numerator * (scale // coeff.denominator)))
+        out.append((tuple(shift), coeff.numerator * (scale // coeff.denominator)))
     return tuple(out)
 
 
 class Echelon:
-    """Row space of integer vectors, each row primitive, pivoted at its
-    largest key and with a positive pivot entry.
+    """Row space of sparse integer vectors keyed by packed coordinates,
+    each row primitive, pivoted at its largest key and with a positive
+    pivot entry.
 
     Elimination is fraction-free: with a = row[top], b = vec[top] and
-    g = gcd(a, b), a step sets vec to (a/g) vec - (b/g) row.  Keys of
-    negative degree are bookkeeping coordinates: they sort below every
-    real key, so they ride along in a combination but are never pivots.
+    g = gcd(a, b), a step sets vec to (a/g) vec - (b/g) row.  Negative
+    keys are bookkeeping coordinates: they sort below every real key, so
+    they ride along in a combination but are never pivots.
     """
 
     def __init__(self):
-        self.rows: dict[Key, IntVector] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
-    def reduce(self, vec: IntVector) -> IntVector:
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
         vec = dict(vec)
         rows = self.rows
         while vec:
@@ -217,12 +275,12 @@ class Echelon:
                     del vec[key]
         return vec
 
-    def insert(self, vec: IntVector) -> Optional[Key]:
+    def insert(self, vec: dict[int, int]) -> Optional[int]:
         """Reduce and store; returns the new pivot key, or None when the
         vector was already in the row space (up to bookkeeping)."""
         vec = self.reduce(vec)
-        top = max(vec, default=None)
-        if top is None or top[0] < 0:
+        top = max(vec, default=-1)
+        if top < 0:
             return None
         content = gcd(*vec.values())
         if vec[top] < 0:
@@ -250,22 +308,23 @@ def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
     intersection with F_d has one basis row per pivot of degree <= d.
     """
     stencil = Stencil(data, k)
+    top = max((max_degree, *image_limits))
+    coords = Coordinates(data, top + max(stencil.max_shift, 0) + 1)
+    column = stencil.compile(coords)
     ech = Echelon()
     pivots = [0] * (max_degree + 1)
     kernel: list[int] = []
     images: dict[int, list[int]] = {}
-    top = max((max_degree, *image_limits))
-    keys = cochain_basis_keys(data, k, top)
-    pos = 0
+    sources = 0
     for d in range(top + 1):
-        while pos < len(keys) and keys[pos][0] == d:
-            column = stencil.column(keys[pos])
-            pos += 1
-            piv = ech.insert(column) if column else None
-            if piv is not None and piv[0] <= max_degree:
-                pivots[piv[0]] += 1
+        for src, tup, mono in coords.keys(k, d):
+            sources += 1
+            vec = column(src, tup, mono)
+            piv = ech.insert(vec) if vec else None
+            if piv is not None and coords.degree(piv) <= max_degree:
+                pivots[coords.degree(piv)] += 1
         if d <= max_degree:
-            kernel.append(pos - ech.rank)
+            kernel.append(sources - ech.rank)
         if d in image_limits:
             images[d] = list(accumulate(pivots))
     return kernel, [images[limit] for limit in image_limits]
@@ -385,29 +444,35 @@ def find_primitive(data: LieRinehartData, cochain: Cochain,
     target = cochain_to_vector(cochain)
     if not target:
         return Cochain.zero(k - 1, data.r, data.nvars)
-    D = window.max_degree
-    buffer = window.resolve_buffer(data)
+    top = window.max_degree + window.resolve_buffer(data)
+    basis_size(data, k - 1, top)
     stencil = Stencil(data, k - 1)
-    # each source carries its own coordinate (-1, T, m), so a reduced
-    # vector records which combination of the sources it is
+    # the base holds every exponent packed: sources, their columns and
+    # the target, whose degree the window does not bound
+    degree = max(key[0] for key in target)
+    coords = Coordinates(data, max(top + max(stencil.max_shift, 0), degree) + 1)
+    column = stencil.compile(coords)
+    # the source with packed key s carries its own coordinate -2 - s, so
+    # a reduced vector records which combination of the sources it is
     ech = Echelon()
-    for key in cochain_basis_keys(data, k - 1, D + buffer):
-        _, tup, mono = key
-        column = stencil.column(key)
-        column[(-1, tup, mono)] = stencil.scale[tup]
-        ech.insert(column)
-    # the target, cleared of denominators, with a marker for its multiple
+    for d in range(top + 1):
+        for src, tup, mono in coords.keys(k - 1, d):
+            vec = column(src, tup, mono)
+            vec[-2 - src] = stencil.scale[tup]
+            ech.insert(vec)
+    # the target, cleared of denominators, with the marker -1 for its multiple
     clear = lcm(*(c.denominator for c in target.values()))
-    marker = (-1, (), ())
-    target = {key: c.numerator * (clear // c.denominator) for key, c in target.items()}
-    target[marker] = clear
-    residual = ech.reduce(target)
-    if max(residual)[0] >= 0:
+    packed = {coords.pack(key): c.numerator * (clear // c.denominator)
+              for key, c in target.items()}
+    packed[-1] = clear
+    residual = ech.reduce(packed)
+    if max(residual) >= 0:
         return None
     # residual = m * cochain - d(u) with bookkeeping -u and marker m
-    multiple = residual.pop(marker)
+    multiple = residual.pop(-1)
     witness = vector_to_cochain(
-        {key: Fraction(-c, multiple) for key, c in residual.items()}, k - 1, data)
+        {coords.unpack(-2 - key, k - 1): Fraction(-c, multiple) for key, c in residual.items()},
+        k - 1, data)
     if differential(data, witness) != cochain:
         raise AssertionError("primitive verification failed: d(witness) != cochain")
     return witness

@@ -13,6 +13,7 @@ they are safe to share between concurrent workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -285,8 +286,11 @@ class ParseError(ValueError):
 
 
 # Powers are expanded by repeated multiplication, so the parser rejects a
-# power whose degree would exceed this before expanding it.
+# power whose degree, or whose bound on the number of terms, would exceed
+# these before expanding it.  A power at the term limit expands in a few
+# tenths of a second.
 MAX_POWER_DEGREE = 16
+MAX_POWER_TERMS = 5_000
 
 _SYMBOLS = set("+-*/^()")
 
@@ -394,6 +398,11 @@ class _Parser:
             # a constant base counts as degree one, so its exponent is bounded too
             if exponent * max(base.degree(), 1) > MAX_POWER_DEGREE:
                 raise ParseError(f"power of degree above the limit {MAX_POWER_DEGREE}", at)
+            # t terms to the e-th power: at most C(t+e-1, e) products of
+            # terms, and at most C(n+e*deg, n) monomials of its degree
+            if base and min(comb(len(base.terms) + exponent - 1, exponent),
+                            comb(self.nvars + exponent * base.degree(), self.nvars)) > MAX_POWER_TERMS:
+                raise ParseError(f"power of more terms than the limit {MAX_POWER_TERMS}", at)
             return base ** exponent
         return base
 

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from logpoisson.complexes import log_derham_complex, log_poisson_complex, poisson_complex
+from logpoisson.logforms import LogBasis
+from logpoisson.poisson import LogDivisorSpec, is_log_principal
 from logpoisson.poly import Poly
 from logpoisson.selfcheck import random_poly
 
@@ -26,3 +29,14 @@ def polys(nvars, max_exp=2, max_terms=4):
     coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
     return st.dictionaries(mono, coeff, max_size=max_terms).map(
         lambda terms: Poly(nvars, terms))
+
+
+def generated_complexes(P, divisor):
+    """The Poisson complex of P, and both log complexes when P is
+    principal logarithmic along the divisor (checked, not assumed)."""
+    yield poisson_complex(P)
+    spec = LogDivisorSpec.normalize(divisor)
+    assert is_log_principal(P, spec).ok
+    B = LogBasis.from_divisor(P.n, spec)
+    yield log_poisson_complex(P, B)
+    yield log_derham_complex(B)

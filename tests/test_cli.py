@@ -8,7 +8,7 @@ import pytest
 
 from logpoisson import cli
 from logpoisson.cohomology import MAX_BASIS_SIZE, SliceWindow
-from logpoisson.poly import MAX_POWER_DEGREE, parse_poly
+from logpoisson.poly import MAX_POWER_DEGREE, MAX_POWER_TERMS, parse_poly
 
 EX1 = {
     "variables": ["x", "y"],
@@ -219,6 +219,14 @@ def test_parse_error_exit_code(tmp_path):
         code, _ = run_main(["check"], dict(EX1, bracket={"x,y": "x^99999999999"}), tmp_path)
     assert code == cli.EXIT_PARSE_ERROR
     assert f"limit {MAX_POWER_DEGREE}" in err.getvalue()
+
+    six = dict(EX1, variables=list("abcdef"), bracket={"a,b": "(a+b+c+d+e+f+1)^16"},
+               log_generators=[])
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_main(["check"], six, tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert f"limit {MAX_POWER_TERMS} (at position 16)" in err.getvalue()
 
 
 def test_selftest_exit_codes():

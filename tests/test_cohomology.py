@@ -11,12 +11,12 @@ import oracle
 from logpoisson import cohomology
 from logpoisson.cohomology import (
     CohomologyTable,
+    Coordinates,
     Echelon,
     SliceWindow,
     Stencil,
     _filtered_pass,
-    basis_cochain,
-    cochain_basis_keys,
+    basis_size,
     cochain_to_vector,
     compare_tables,
     compute_table,
@@ -32,7 +32,7 @@ from logpoisson.complexes import (
     two_form_cochain,
 )
 from logpoisson.logforms import LogBasis
-from logpoisson.poisson import LogDivisorSpec, PoissonStructure, is_log_principal
+from logpoisson.poisson import LogDivisorSpec, PoissonStructure
 from logpoisson.poly import Poly
 from logpoisson.selfcheck import (
     XY,
@@ -44,11 +44,24 @@ from logpoisson.selfcheck import (
     setup_xyz,
     worked_structures,
 )
-from conftest import polys
+from conftest import generated_complexes, polys
 
 
 def dims_of(rows):
     return [r.dim for r in rows]
+
+
+def basis_keys(L, k, max_degree):
+    """The keys (d, T, m) of the basis k-cochains of degree <= max_degree,
+    in packed order."""
+    coords = Coordinates(L, max_degree + 1)
+    return [(d, tup, mono) for d in range(max_degree + 1)
+            for _, tup, mono in coords.keys(k, d)]
+
+
+def basis_cochain(L, key):
+    _, tup, mono = key
+    return Cochain(len(tup), L.r, L.nvars, {tup: Poly.monomial(L.nvars, mono)})
 
 
 # -- one filtered pass over degree slices ------------------------------------
@@ -60,7 +73,7 @@ def test_slice_matrix_degree_zero():
     P, B = setup_x()
     L = log_poisson_complex(P, B)
     kernel, images = _filtered_pass(L, 0, 1)
-    assert [len(cochain_basis_keys(L, 0, d)) for d in (0, 1)] == [1, 3]
+    assert [basis_size(L, 0, d) for d in (0, 1)] == [1, 3]
     assert kernel == [1, 1] and images == []
 
 
@@ -68,7 +81,7 @@ def test_slice_matrix_empty():
     P, B = setup_x()
     L = log_poisson_complex(P, B)
     # k beyond the basis size
-    assert cochain_basis_keys(L, 3, 4) == []
+    assert basis_size(L, 3, 4) == 0 and basis_keys(L, 3, 4) == []
     assert _filtered_pass(L, 3, 4, [4]) == ([0] * 5, [[0] * 5])
     assert Stencil(L, 3).terms == {}
 
@@ -77,16 +90,24 @@ def test_slice_matrix_empty():
 
 
 def assert_stencil_matches_engine(L, max_degree):
-    """Every column of every d^k up to max_degree, against scale[T] times
-    a full application of the generic differential to the basis cochain."""
+    """Every column of every d^k up to max_degree, unpacked, against
+    scale[T] times a full application of the generic differential to the
+    basis cochain."""
     for k in range(L.r + 1):
         stencil = Stencil(L, k)
-        for key in cochain_basis_keys(L, k, max_degree):
-            scale = stencil.scale[key[1]]
-            generic = cochain_to_vector(differential(L, basis_cochain(L, key)))
-            column = stencil.column(key)
-            assert column == {at: scale * c for at, c in generic.items()}, (L.name, k, key)
-            assert all(type(c) is int for c in column.values())
+        coords = Coordinates(L, max_degree + max(stencil.max_shift, 0) + 1)
+        compiled = stencil.compile(coords)
+        for d in range(max_degree + 1):
+            for src, tup, mono in coords.keys(k, d):
+                key = (d, tup, mono)
+                assert coords.unpack(src, k) == key
+                generic = cochain_to_vector(differential(L, basis_cochain(L, key)))
+                column = compiled(src, tup, mono)
+                unpacked = {coords.unpack(at, k + 1): c for at, c in column.items()}
+                assert len(unpacked) == len(column)
+                assert unpacked == {at: stencil.scale[tup] * c
+                                    for at, c in generic.items()}, (L.name, k, key)
+                assert all(type(c) is int for c in column.values())
 
 
 def worked_complexes():
@@ -114,20 +135,12 @@ def test_stencil_is_read_off_the_engine(monkeypatch):
     monkeypatch.setattr(cohomology, "differential", counted)
     stencil = Stencil(L, 1)
     assert calls == [1] * 3 * (L.nvars + 1)
-    for key in cochain_basis_keys(L, 1, 3):
-        stencil.column(key)
+    coords = Coordinates(L, 3 + stencil.max_shift + 1)
+    column = stencil.compile(coords)
+    for d in range(4):
+        for src, tup, mono in coords.keys(1, d):
+            column(src, tup, mono)
     assert len(calls) == 3 * (L.nvars + 1)
-
-
-def generated_complexes(P, divisor):
-    """The Poisson complex of P, and both log complexes when P is
-    principal logarithmic along the divisor (checked, not assumed)."""
-    yield poisson_complex(P)
-    spec = LogDivisorSpec.normalize(divisor)
-    assert is_log_principal(P, spec).ok
-    B = LogBasis.from_divisor(P.n, spec)
-    yield log_poisson_complex(P, B)
-    yield log_derham_complex(B)
 
 
 @settings(max_examples=12, deadline=None)
@@ -161,7 +174,8 @@ def test_stencil_matches_engine_on_jacobian_brackets(h):
 
 # -- the integer echelon against dense elimination ----------------------------
 
-ECHELON_KEYS = [(d, (t,), (i,)) for d in range(4) for t in range(2) for i in range(2)]
+# packed keys of four degrees, four keys each: the degree of a key is key // 4
+ECHELON_KEYS = range(16)
 
 
 @st.composite
@@ -194,12 +208,12 @@ def test_echelon_ranks_match_dense_elimination(cols):
     pivots = [p for p in pivots if p is not None]
 
     def dense(above):
-        keys = [key for key in ECHELON_KEYS if key[0] > above]
+        keys = [key for key in ECHELON_KEYS if key // 4 > above]
         return oracle.dense_rank([[c.get(key, Fraction(0)) for key in keys] for c in cols])
 
     assert ech.rank == len(pivots) == dense(-1)
     for d in range(4):
-        assert sum(p[0] > d for p in pivots) == dense(d), d
+        assert sum(p // 4 > d for p in pivots) == dense(d), d
     for key, row in ech.rows.items():
         assert max(row) == key and row[key] > 0
         assert all(type(c) is int for c in row.values())
@@ -213,7 +227,7 @@ def test_rank_nullity_against_dense_oracle():
     for k in (0, 1):
         kernel, _ = _filtered_pass(L, k, 4)
         for d in (0, 2, 4):
-            rank = len(cochain_basis_keys(L, k, d)) - kernel[d]
+            rank = basis_size(L, k, d) - kernel[d]
             ambient = dense.coords(k + 1, d + 6)
             rows = dense.image_rows(k, d, ambient)
             assert rank == oracle.dense_rank(rows)
@@ -340,7 +354,7 @@ def test_image_inside_kernel_per_window():
     # ker meet F_d; dimension-level check on top of the exact one
     for P, B in (setup_x(), setup_x2()):
         L = log_poisson_complex(P, B)
-        for key in cochain_basis_keys(L, 0, 6):
+        for key in basis_keys(L, 0, 6):
             c = basis_cochain(L, key)
             assert differential(L, differential(L, c)).is_zero()
         rows1 = compute_table(L, [1], SliceWindow(5)).rows[1]
@@ -404,12 +418,32 @@ def test_find_primitive_verifies_its_witness(monkeypatch):
     original = cohomology.Echelon.insert
 
     def corrupted(self, vec):
-        # the negative-degree keys record the combination of the sources
-        return original(self, {key: 2 * c if key[0] < 0 else c for key, c in vec.items()})
+        # the negative keys record the combination of the sources
+        return original(self, {key: 2 * c if key < 0 else c for key, c in vec.items()})
 
     monkeypatch.setattr(cohomology.Echelon, "insert", corrupted)
     with pytest.raises(AssertionError, match="verification"):
         find_primitive(L, pi, SliceWindow(8))
+
+
+def test_find_primitive_packs_targets_above_the_window():
+    # every top cochain is closed; with sources of degree <= 1 no
+    # primitive exists.  In a base sized by the window alone, (d, m) =
+    # (30, y^30) and (29, x^17 y^12) would pack to one int and cancel.
+    P, B = setup_x()
+    L = log_poisson_complex(P, B)
+    for terms in ({(0, 30): 1, (17, 12): -1}, {(15, 15): 1}, {(0, 32): 3, (1, 0): 1}):
+        top = Cochain(2, 2, 2, {(0, 1): Poly(2, terms)})
+        assert find_primitive(L, top, SliceWindow(1, 0)) is None, terms
+
+
+def test_pack_rejects_exponents_outside_the_base():
+    P, B = setup_x()
+    coords = Coordinates(log_poisson_complex(P, B), 5)
+    assert coords.unpack(coords.pack((4, (0,), (0, 4))), 1) == (4, (0,), (0, 4))
+    for mono in ((5, 0), (0, 7), (-1, 2)):
+        with pytest.raises(ValueError):
+            coords.pack((sum(mono), (0,), mono))
 
 
 def test_find_primitive_zero_cochain():

@@ -5,6 +5,8 @@ logpoisson.selfcheck (run by acceptance criterion 8); here the generic
 log de Rham differential is also checked against the direct exterior
 derivative in tests/oracle.py, and the complexes built from basis
 weights against their direct definitions there, on generated structures.
+On the same structures the packed coordinates of the elimination are
+checked against the key tuples they stand for.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from logpoisson.cohomology import Coordinates, Stencil
 from logpoisson.complexes import (
     Cochain,
     differential,
@@ -35,7 +38,7 @@ from logpoisson.selfcheck import (
     setup_xyz,
     worked_structures,
 )
-from conftest import polys, random_poly
+from conftest import generated_complexes, polys, random_poly
 from oracle import log_derham_differential
 
 
@@ -133,6 +136,47 @@ def test_frame_matches_direct_on_log_canonical_brackets(case):
     P, logvars = case
     assert not P.jacobi_failures()
     assert_frame_matches_direct(P, logvars)
+
+
+def assert_packing_matches_keys(L, max_degree):
+    """On every basis key of degree <= max_degree and every target of its
+    compiled column, packing round-trips and orders like the tuples."""
+    for k in range(L.r + 1):
+        stencil = Stencil(L, k)
+        coords = Coordinates(L, max_degree + max(stencil.max_shift, 0) + 1)
+        column = stencil.compile(coords)
+        sources, targets = [], set()
+        for d in range(max_degree + 1):
+            for src, tup, mono in coords.keys(k, d):
+                assert sum(mono) == d and len(tup) == k
+                assert coords.pack((d, tup, mono)) == src
+                assert coords.unpack(src, k) == (d, tup, mono)
+                sources.append(src)
+                targets.update(column(src, tup, mono))
+        keys = [coords.unpack(src, k) for src in sources]
+        assert sources == sorted(set(sources)) and keys == sorted(keys)
+        packed = sorted(targets)
+        keys = [coords.unpack(at, k + 1) for at in packed]
+        assert keys == sorted(keys)
+        for at, (d, tup, mono) in zip(packed, keys):
+            assert sum(mono) == d and len(tup) == k + 1
+            assert coords.pack((d, tup, mono)) == at
+
+
+@settings(max_examples=15, deadline=None)
+@given(f=polys(2))
+def test_packing_matches_keys_on_plane_brackets(f):
+    P = PoissonStructure(XY, {(0, 1): Poly.variable(2, 0) * f})
+    for L in generated_complexes(P, [Poly.variable(2, 0)]):
+        assert_packing_matches_keys(L, 3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=log_canonical())
+def test_packing_matches_keys_on_log_canonical_brackets(case):
+    P, logvars = case
+    for L in generated_complexes(P, [Poly.variable(P.n, j) for j in sorted(logvars)]):
+        assert_packing_matches_keys(L, 2)
 
 
 def test_log_poisson_complex_needs_the_log_condition():

@@ -1,10 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from logpoisson.poly import (
     MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
     ParseError,
     Poly,
     format_poly,
@@ -204,6 +206,20 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError, match=f"limit {MAX_POWER_DEGREE}") as err:
             p2(text)
         assert err.value.position == at
+    # and by its number of terms: 74,613 here, which took seconds to expand
+    names = "abcdef"
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match=f"limit {MAX_POWER_TERMS}") as err:
+        parse_poly("(a+b+c+d+e+f+1)^16", names)
+    assert time.perf_counter() - started < 1
+    assert err.value.position == 16
+    # the smaller of the two counts decides: products of terms for a
+    # sparse base (C(19, 16) = 969), monomials of the degree for a dense
+    # one (C(3+16, 3) = 969, against C(17, 8) = 24,310 products)
+    assert len(parse_poly("(a+b+c+1)^16", names).terms) == 969
+    dense = "(1 + x + y + z + x^2 + x*y + x*z + y^2 + y*z + z^2)^8"
+    assert len(p3(dense).terms) == 969
+    assert p2("0^3").is_zero()
 
 
 def test_format_round_trip(rng):
