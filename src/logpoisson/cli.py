@@ -173,118 +173,78 @@ def serialize_spec(spec: ProblemSpec) -> dict:
 
 
 # -- check ----------------------------------------------------------------
+#
+# Each command builds the document that --format json prints; the table
+# format is rendered from that document alone.
 
 
-@dataclass
-class CheckReport:
-    jacobi_ok: bool
-    jacobi_failures: list[tuple[int, int, int]]
-    normalization: list[tuple[str, str]]  # (generator text, variable)
-    divisor_error: Optional[str]
-    log_principal_ok: Optional[bool]     # None: no divisor declared
-    log_principal_failures: list[tuple[str, str, str]]
-    log_symplectic: Optional[bool]
-    determinant: Optional[str]
-
-    @property
-    def ok(self) -> bool:
-        if not self.jacobi_ok:
-            return False
-        if self.divisor_error is not None:
-            return False
-        return self.log_principal_ok is not False
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "command": "check",
-            "jacobi": {
-                "ok": self.jacobi_ok,
-                "failing_triples": [list(t) for t in self.jacobi_failures],
-            },
-            "normalization": [
-                {"generator": g, "variable": v} for g, v in self.normalization
-            ],
-            "log_principal": None,
-            "log_symplectic": None,
-            "ok": self.ok,
-        }
-        if self.divisor_error is not None:
-            out["log_principal"] = {"ok": False, "error": self.divisor_error}
-        elif self.log_principal_ok is not None:
-            out["log_principal"] = {
-                "ok": self.log_principal_ok,
-                "failures": [
-                    {"bracket_of": list(pair), "value": val}
-                    for *pair, val in self.log_principal_failures
-                ],
-            }
-        if self.log_symplectic is not None:
-            out["log_symplectic"] = {
-                "ok": self.log_symplectic,
-                "determinant": self.determinant,
-            }
-        return out
-
-    def to_text(self) -> str:
-        lines = []
-        mark = lambda ok: "pass" if ok else "FAIL"
-        if self.jacobi_failures:
-            lines.append(f"jacobi: FAIL on triples {self.jacobi_failures}")
-        else:
-            lines.append("jacobi: pass")
-        for gen, var in self.normalization:
-            lines.append(f"normalization: {gen} defines the divisor variable {var}")
-        if self.divisor_error is not None:
-            lines.append(f"log-principal: FAIL ({self.divisor_error})")
-        elif self.log_principal_ok is None:
-            lines.append("log-principal: skipped (no divisor declared)")
-        else:
-            lines.append(f"log-principal: {mark(self.log_principal_ok)}")
-            for a, b, val in self.log_principal_failures:
-                lines.append(f"  offending bracket {{{a},{b}}} = {val}")
-        if self.log_symplectic is not None:
-            lines.append(
-                f"log-symplectic: {'true' if self.log_symplectic else 'false'}"
-                f" (determinant {self.determinant})"
-            )
-        lines.append(f"check: {mark(self.ok)}")
-        return "\n".join(lines)
-
-
-def run_check(spec: ProblemSpec) -> CheckReport:
+def run_check(spec: ProblemSpec) -> dict:
     structure = spec.structure()
     names = list(spec.variables)
     jac = structure.jacobi_failures()
-    normalization: list[tuple[str, str]] = []
-    divisor_error = None
-    log_ok: Optional[bool] = None
-    log_failures: list[tuple[str, str, str]] = []
-    symplectic: Optional[bool] = None
-    det_text: Optional[str] = None
+    doc = {
+        "command": "check",
+        "jacobi": {"ok": not jac, "failing_triples": [list(t) for t in jac]},
+        "normalization": [],
+        "log_principal": None,   # None: no divisor declared
+        "log_symplectic": None,
+    }
     if spec.log_generators:
         try:
             divisor = spec.divisor()
         except UnsupportedDivisor as err:
-            divisor_error = str(err)
+            doc["log_principal"] = {"ok": False, "error": str(err)}
         else:
-            normalization = [
-                (format_poly(g, names), names[v])
+            doc["normalization"] = [
+                {"generator": format_poly(g, names), "variable": names[v]}
                 for g, v in zip(divisor.generators, divisor.variables)
             ]
             report = is_log_principal(structure, divisor)
-            log_ok = report.ok
-            log_failures = [
-                (names[f.generator_var], names[f.divisor_var],
-                 format_poly(f.bracket, names))
-                for f in report.failures
-            ]
+            doc["log_principal"] = {
+                "ok": report.ok,
+                "failures": [
+                    {"bracket_of": [names[f.generator_var], names[f.divisor_var]],
+                     "value": format_poly(f.bracket, names)}
+                    for f in report.failures
+                ],
+            }
             if report.ok:
                 sym = log_symplectic_test(
                     structure, LogBasis.from_divisor(structure.n, divisor))
-                symplectic = sym.is_log_symplectic
-                det_text = format_poly(sym.determinant, names)
-    return CheckReport(not jac, jac, normalization, divisor_error,
-                       log_ok, log_failures, symplectic, det_text)
+                doc["log_symplectic"] = {
+                    "ok": sym.is_log_symplectic,
+                    "determinant": format_poly(sym.determinant, names),
+                }
+    principal = doc["log_principal"]
+    doc["ok"] = not jac and (principal is None or principal["ok"])
+    return doc
+
+
+def check_text(doc: dict) -> str:
+    mark = lambda ok: "pass" if ok else "FAIL"
+    triples = [tuple(t) for t in doc["jacobi"]["failing_triples"]]
+    lines = [f"jacobi: FAIL on triples {triples}" if triples else "jacobi: pass"]
+    for n in doc["normalization"]:
+        lines.append(f"normalization: {n['generator']} defines the divisor"
+                     f" variable {n['variable']}")
+    principal = doc["log_principal"]
+    if principal is None:
+        lines.append("log-principal: skipped (no divisor declared)")
+    elif "error" in principal:
+        lines.append(f"log-principal: FAIL ({principal['error']})")
+    else:
+        lines.append(f"log-principal: {mark(principal['ok'])}")
+        for f in principal["failures"]:
+            a, b = f["bracket_of"]
+            lines.append(f"  offending bracket {{{a},{b}}} = {f['value']}")
+    symplectic = doc["log_symplectic"]
+    if symplectic is not None:
+        lines.append(
+            f"log-symplectic: {'true' if symplectic['ok'] else 'false'}"
+            f" (determinant {symplectic['determinant']})"
+        )
+    lines.append(f"check: {mark(doc['ok'])}")
+    return "\n".join(lines)
 
 
 # -- cohomology and compare -------------------------------------------------
@@ -300,7 +260,10 @@ def build_complex(spec: ProblemSpec, kind: str):
                            " run the check command for details")
     if kind == "poisson":
         return poisson_complex(structure)
-    divisor = spec.divisor()
+    try:
+        divisor = spec.divisor()
+    except UnsupportedDivisor as err:
+        raise CheckFailure(str(err)) from err
     if divisor is None:
         raise CheckFailure(f"{kind} needs log_generators in the problem document")
     basis = LogBasis.from_divisor(structure.n, divisor)
@@ -355,19 +318,15 @@ def table_to_text(table: CohomologyTable) -> str:
     return "\n".join(lines)
 
 
-def run_cohomology(spec: ProblemSpec, kind: str, ks: Sequence[int],
-                   window: SliceWindow) -> CohomologyTable:
-    return compute_table(build_complex(spec, kind), ks, window)
-
-
 def run_compare(spec: ProblemSpec, kinds: Sequence[str], ks: Sequence[int],
-                window: SliceWindow) -> list[dict]:
-    tables = {kind: run_cohomology(spec, kind, ks, window) for kind in kinds}
-    out = []
+                window: SliceWindow) -> dict:
+    tables = {kind: compute_table(build_complex(spec, kind), ks, window)
+              for kind in kinds}
+    pairs = []
     for pos, first in enumerate(kinds):
         for second in kinds[pos + 1:]:
             diff = compare_tables(tables[first], tables[second])
-            out.append({
+            pairs.append({
                 "first": first,
                 "second": second,
                 "equal": diff.equal,
@@ -376,62 +335,24 @@ def run_compare(spec: ProblemSpec, kinds: Sequence[str], ks: Sequence[int],
                     for k, d, a, b in diff.mismatches
                 ],
             })
-    return out
+    return {"command": "compare", "max_degree": window.max_degree, "pairs": pairs}
+
+
+def compare_text(doc: dict) -> str:
+    lines = []
+    for pair in doc["pairs"]:
+        first, second = pair["first"], pair["second"]
+        lines.append(f"{first} vs {second}: {'equal' if pair['equal'] else 'DIFFER'}")
+        for m in pair["mismatches"]:
+            lines.append(f"  k={m['k']} degree={m['degree']}: "
+                         f"{first}={m[first]} {second}={m[second]}")
+    return "\n".join(lines)
 
 
 # -- prequantization ---------------------------------------------------------
 
 
-@dataclass
-class PrequantReport:
-    max_degree: int
-    buffer: int
-    curvature: list[tuple[str, str, str]]   # (form a, form b, value)
-    prequantizable: bool
-    witness: Optional[list[tuple[str, str]]]
-    h2_dims: Optional[list[int]]
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "command": "prequantize",
-            "max_degree": self.max_degree,
-            "buffer": self.buffer,
-            "curvature": [
-                {"pair": [a, b], "value": v} for a, b, v in self.curvature
-            ],
-            "prequantizable_in_window": self.prequantizable,
-        }
-        if self.witness is not None:
-            out["witness"] = [{"form": f, "value": v} for f, v in self.witness]
-        if self.h2_dims is not None:
-            out["h2_dims"] = self.h2_dims
-            out["note"] = ("no primitive with coefficients of degree <= "
-                           f"{self.max_degree + self.buffer}; this windowed"
-                           " search is not a proof of nonexactness")
-        return out
-
-    def to_text(self) -> str:
-        lines = ["curvature two-cochain:"]
-        if not self.curvature:
-            lines.append("  0")
-        for a, b, v in self.curvature:
-            lines.append(f"  ({a}, {b}) -> {v}")
-        if self.prequantizable:
-            lines.append(f"prequantizable within the window (degree <= "
-                         f"{self.max_degree + self.buffer}); witness one-form:")
-            for f, v in self.witness:
-                lines.append(f"  {f} -> {v}")
-        else:
-            lines.append(
-                f"obstruction persists to degree {self.max_degree}"
-                " (no primitive in the window; inconclusive beyond it)"
-            )
-            lines.append("second cohomology dims by degree: "
-                         + " ".join(map(str, self.h2_dims)))
-        return "\n".join(lines)
-
-
-def run_prequantize(spec: ProblemSpec, window: SliceWindow) -> PrequantReport:
+def run_prequantize(spec: ProblemSpec, window: SliceWindow) -> dict:
     if len(spec.variables) < 2:
         raise SpecError("prequantize needs at least two variables: the"
                         " curvature is a two-cochain")
@@ -441,41 +362,46 @@ def run_prequantize(spec: ProblemSpec, window: SliceWindow) -> PrequantReport:
     names = list(spec.variables)
     labels = basis.labels(names)
     pi = two_form_cochain(structure, basis)
-    curvature = [
-        (labels[i], labels[j], format_poly(p, names))
-        for (i, j), p in sorted(pi.comps.items())
-    ]
     witness = find_primitive(data, pi, window)
-    buffer = window.resolve_buffer(data)
+    doc = {
+        "command": "prequantize",
+        "max_degree": window.max_degree,
+        "buffer": window.resolve_buffer(data),
+        "curvature": [
+            {"pair": [labels[i], labels[j]], "value": format_poly(p, names)}
+            for (i, j), p in sorted(pi.comps.items())
+        ],
+        "prequantizable_in_window": witness is not None,
+    }
     if witness is not None:
-        wtext = [
-            (labels[t[0]], format_poly(p, names))
+        doc["witness"] = [
+            {"form": labels[t[0]], "value": format_poly(p, names)}
             for t, p in sorted(witness.comps.items())
-        ]
-        if not wtext:
-            wtext = [(labels[0], "0")]
-        return PrequantReport(window.max_degree, buffer, curvature, True, wtext, None)
-    table = compute_table(data, [2], window)
-    return PrequantReport(window.max_degree, buffer, curvature, False, None,
-                          table.dims(2))
+        ] or [{"form": labels[0], "value": "0"}]
+    else:
+        doc["h2_dims"] = compute_table(data, [2], window).dims(2)
+        doc["note"] = ("no primitive with coefficients of degree <= "
+                       f"{window.max_degree + doc['buffer']}; this windowed"
+                       " search is not a proof of nonexactness")
+    return doc
 
 
-# -- selftest ----------------------------------------------------------------
-
-
-def run_selftest(mutate: bool = False, seed: int = 20240917) -> tuple[str, bool]:
-    from .selfcheck import run_all
-
-    results = run_all(seed=seed, mutate=mutate)
-    lines = []
-    for r in results:
-        status = "pass" if r.ok else "FAIL"
-        detail = f"  [{r.detail}]" if r.detail else ""
-        lines.append(f"{status}  {r.name}  ({r.cases} cases){detail}")
-    ok = all(r.ok for r in results)
-    lines.append(f"selftest: {len(results)} suites, "
-                 f"{'all passed' if ok else 'FAILURES PRESENT'}")
-    return "\n".join(lines), ok
+def prequantize_text(doc: dict) -> str:
+    lines = ["curvature two-cochain:"]
+    lines += [f"  ({c['pair'][0]}, {c['pair'][1]}) -> {c['value']}"
+              for c in doc["curvature"]] or ["  0"]
+    if doc["prequantizable_in_window"]:
+        lines.append(f"prequantizable within the window (degree <= "
+                     f"{doc['max_degree'] + doc['buffer']}); witness one-form:")
+        lines += [f"  {w['form']} -> {w['value']}" for w in doc["witness"]]
+    else:
+        lines.append(
+            f"obstruction persists to degree {doc['max_degree']}"
+            " (no primitive in the window; inconclusive beyond it)"
+        )
+        lines.append("second cohomology dims by degree: "
+                     + " ".join(map(str, doc["h2_dims"])))
+    return "\n".join(lines)
 
 
 # -- argument handling ---------------------------------------------------------
@@ -510,11 +436,8 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _emit(payload, fmt: str, text_renderer) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text_renderer())
+def _emit(doc: dict, fmt: str, render) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True) if fmt == "json" else render(doc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,11 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True,
-                           help="problem document (JSON file, or '-' for stdin)")
+    def common(p):
+        p.add_argument("--input", required=True,
+                       help="problem document (JSON file, or '-' for stdin)")
         p.add_argument("--format", choices=("table", "json"), default="table")
+
+    def window_flags(p):
+        p.add_argument("--max-degree", type=int, default=None)
+        p.add_argument("--buffer", type=int, default=None)
 
     p_check = sub.add_parser("check", help="jacobi, divisor and nondegeneracy checks")
     common(p_check)
@@ -538,22 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_coh)
     p_coh.add_argument("--complex", choices=COMPLEX_KINDS, default="log-poisson")
     p_coh.add_argument("--k", default=None, help="cochain degrees, e.g. 0..2")
-    p_coh.add_argument("--max-degree", type=int, default=None)
-    p_coh.add_argument("--buffer", type=int, default=None)
+    window_flags(p_coh)
 
     p_cmp = sub.add_parser("compare", help="compare tables of several complexes")
     common(p_cmp)
     p_cmp.add_argument("--complex", action="append", choices=COMPLEX_KINDS,
                        help="repeat to choose complexes (default: all three)")
     p_cmp.add_argument("--k", default=None)
-    p_cmp.add_argument("--max-degree", type=int, default=None)
-    p_cmp.add_argument("--buffer", type=int, default=None)
+    window_flags(p_cmp)
 
     p_pre = sub.add_parser("prequantize",
                            help="search a primitive for the induced two-form")
     common(p_pre)
-    p_pre.add_argument("--max-degree", type=int, default=None)
-    p_pre.add_argument("--buffer", type=int, default=None)
+    window_flags(p_pre)
 
     p_self = sub.add_parser("selftest", help="run the property suites")
     p_self.add_argument("--mutate", action="store_true",
@@ -567,58 +490,42 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            text, ok = run_selftest(mutate=args.mutate, seed=args.seed)
-            print(text)
+            from .selfcheck import run_all
+
+            results = run_all(seed=args.seed, mutate=args.mutate)
+            for r in results:
+                detail = f"  [{r.detail}]" if r.detail else ""
+                print(f"{'pass' if r.ok else 'FAIL'}  {r.name}  ({r.cases} cases){detail}")
+            ok = all(r.ok for r in results)
+            print(f"selftest: {len(results)} suites, "
+                  f"{'all passed' if ok else 'FAILURES PRESENT'}")
             return EXIT_OK if ok else EXIT_CHECK_FAILED
 
         spec = parse_spec(_read_input(args.input))
 
         if args.command == "check":
-            report = run_check(spec)
-            _emit(report.to_json_dict(), args.format, report.to_text)
-            return EXIT_OK if report.ok else EXIT_CHECK_FAILED
-
-        if args.command == "cohomology":
-            window = spec.window(args.max_degree, args.buffer)
-            top = len(spec.variables)
-            ks = parse_k_range(args.k, top) if args.k else list(range(top + 1))
-            table = run_cohomology(spec, args.complex, ks, window)
-            _emit(table_to_json_dict(table), args.format,
-                  lambda: table_to_text(table))
-            return EXIT_OK
+            doc = run_check(spec)
+            _emit(doc, args.format, check_text)
+            return EXIT_OK if doc["ok"] else EXIT_CHECK_FAILED
 
         if args.command == "compare":
             kinds = args.complex or list(COMPLEX_KINDS)
             if len(kinds) < 2:
                 raise SpecError("compare needs at least two --complex values")
-            window = spec.window(args.max_degree, args.buffer)
-            top = len(spec.variables)
-            ks = parse_k_range(args.k, top) if args.k else list(range(top + 1))
-            diffs = run_compare(spec, kinds, ks, window)
-
-            def text():
-                lines = []
-                for d in diffs:
-                    verdict = "equal" if d["equal"] else "DIFFER"
-                    lines.append(f"{d['first']} vs {d['second']}: {verdict}")
-                    for m in d["mismatches"]:
-                        lines.append(
-                            f"  k={m['k']} degree={m['degree']}: "
-                            f"{d['first']}={m[d['first']]} {d['second']}={m[d['second']]}"
-                        )
-                return "\n".join(lines)
-
-            _emit({"command": "compare", "max_degree": window.max_degree,
-                   "pairs": diffs}, args.format, text)
-            return EXIT_OK
-
+        window = spec.window(args.max_degree, args.buffer)
         if args.command == "prequantize":
-            window = spec.window(args.max_degree, args.buffer)
-            report = run_prequantize(spec, window)
-            _emit(report.to_json_dict(), args.format, report.to_text)
+            _emit(run_prequantize(spec, window), args.format, prequantize_text)
             return EXIT_OK
 
-        raise SpecError(f"unknown command {args.command!r}")
+        top = len(spec.variables)
+        ks = parse_k_range(args.k, top) if args.k else list(range(top + 1))
+        if args.command == "compare":
+            _emit(run_compare(spec, kinds, ks, window), args.format, compare_text)
+        else:
+            table = compute_table(build_complex(spec, args.complex), ks, window)
+            _emit(table_to_json_dict(table), args.format,
+                  lambda _: table_to_text(table))
+        return EXIT_OK
     except (SpecError, ParseError, OSError, WindowTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE_ERROR

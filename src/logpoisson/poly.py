@@ -285,12 +285,12 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-# Powers are expanded by repeated multiplication, so the parser rejects a
-# power whose degree, or whose bound on the number of terms, would exceed
-# these before expanding it.  A power at the term limit expands in a few
-# tenths of a second.
+# The parser rejects a power whose degree would exceed MAX_POWER_DEGREE,
+# and a power or product whose bound on the number of terms would exceed
+# MAX_TERMS, before expanding it.  A power or product at the term limit
+# expands in a few tenths of a second.
 MAX_POWER_DEGREE = 16
-MAX_POWER_TERMS = 5_000
+MAX_TERMS = 5_000
 
 _SYMBOLS = set("+-*/^()")
 
@@ -376,13 +376,23 @@ class _Parser:
             else:
                 return poly
 
+    def bound_terms(self, what: str, products: int, degree: int, at: int) -> None:
+        # the terms are at most the products of terms, and at most the
+        # C(n+degree, n) monomials of degree <= degree
+        if products > MAX_TERMS and comb(self.nvars + degree, self.nvars) > MAX_TERMS:
+            raise ParseError(f"{what} of more terms than the limit {MAX_TERMS}", at)
+
     def term(self) -> Poly:
         poly = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == "sym" and val == "*":
                 self.take()
-                poly = poly * self.factor()
+                rhs = self.factor()
+                # a zero factor has no terms, so its degree -1 is never used
+                self.bound_terms("product", len(poly.terms) * len(rhs.terms),
+                                 poly.degree() + rhs.degree(), at)
+                poly = poly * rhs
             else:
                 return poly
 
@@ -398,11 +408,10 @@ class _Parser:
             # a constant base counts as degree one, so its exponent is bounded too
             if exponent * max(base.degree(), 1) > MAX_POWER_DEGREE:
                 raise ParseError(f"power of degree above the limit {MAX_POWER_DEGREE}", at)
-            # t terms to the e-th power: at most C(t+e-1, e) products of
-            # terms, and at most C(n+e*deg, n) monomials of its degree
-            if base and min(comb(len(base.terms) + exponent - 1, exponent),
-                            comb(self.nvars + exponent * base.degree(), self.nvars)) > MAX_POWER_TERMS:
-                raise ParseError(f"power of more terms than the limit {MAX_POWER_TERMS}", at)
+            # t terms to the e-th power: at most C(t+e-1, e) products of terms
+            if base:
+                self.bound_terms("power", comb(len(base.terms) + exponent - 1, exponent),
+                                 exponent * base.degree(), at)
             return base ** exponent
         return base
 

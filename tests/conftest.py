@@ -1,5 +1,7 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -9,6 +11,17 @@ from logpoisson.logforms import LogBasis
 from logpoisson.poisson import LogDivisorSpec, is_log_principal
 from logpoisson.poly import Poly
 from logpoisson.selfcheck import random_poly
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict:
+    """The environment for a subprocess that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def random_nonzero_poly(rng, nvars, max_degree, **kw):

@@ -8,7 +8,8 @@ import pytest
 
 from logpoisson import cli
 from logpoisson.cohomology import MAX_BASIS_SIZE, SliceWindow
-from logpoisson.poly import MAX_POWER_DEGREE, MAX_POWER_TERMS, parse_poly
+from logpoisson.poly import MAX_POWER_DEGREE, MAX_TERMS, parse_poly
+from conftest import ROOT, src_env
 
 EX1 = {
     "variables": ["x", "y"],
@@ -130,6 +131,33 @@ def test_check_unsupported_divisor(tmp_path):
     assert json.loads(out)["log_principal"]["ok"] is False
 
 
+@pytest.mark.parametrize("args", [
+    ["cohomology", "--complex", "log-poisson"],
+    ["cohomology", "--complex", "log-derham"],
+    ["compare"],
+    ["prequantize"],
+])
+def test_unsupported_divisor_fails_the_gate(tmp_path, args):
+    doc = dict(EX1, log_generators=["x + y"])
+    code, out, err = run_main_err(args, doc, tmp_path)
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "check failure: generator #0 is not of the form c*x^m; only"
+        " single-variable monomial divisors are supported"
+    ]
+
+
+def test_check_reads_stdin_through_the_module_entry_point(tmp_path):
+    path = ROOT / "demos" / "inputs" / "bracket_x.json"
+    done = subprocess.run([sys.executable, "-m", "logpoisson.cli", "check", "--input", "-"],
+                          input=path.read_text(), capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert done.returncode == cli.EXIT_OK
+    assert (done.returncode, done.stdout) == run_main(["check", "--input", str(path)])
+
+
 def test_cohomology_command_table(tmp_path):
     code, out = run_main(
         ["cohomology", "--complex", "log-poisson", "--k", "0..2"], EX1, tmp_path
@@ -226,7 +254,14 @@ def test_parse_error_exit_code(tmp_path):
     with redirect_stderr(err):
         code, _ = run_main(["check"], six, tmp_path)
     assert code == cli.EXIT_PARSE_ERROR
-    assert f"limit {MAX_POWER_TERMS} (at position 16)" in err.getvalue()
+    assert f"limit {MAX_TERMS} (at position 16)" in err.getvalue()
+
+    six["bracket"] = {"a,b": "(a+b+c+1)^16*(a+b+c+1)^16"}
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_main(["check"], six, tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert f"product of more terms than the limit {MAX_TERMS} (at position 12)" in err.getvalue()
 
 
 def test_selftest_exit_codes():

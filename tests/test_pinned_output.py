@@ -15,7 +15,6 @@ and say in the change description why the output moved.
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -25,8 +24,8 @@ from pathlib import Path
 import pytest
 
 from logpoisson import cli
+from conftest import ROOT, src_env
 
-ROOT = Path(__file__).resolve().parent.parent
 INPUTS = sorted((ROOT / "demos" / "inputs").glob("*.json"))
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 PINS = Path(__file__).resolve().parent / "pinned_output.json"
@@ -104,10 +103,7 @@ def run_inline(name: str) -> dict:
 
 
 def run_demo(path: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=src_env(),
                           capture_output=True, text=True, timeout=120)
     return pin(done.returncode, done.stdout)
 

@@ -6,7 +6,7 @@ import pytest
 
 from logpoisson.poly import (
     MAX_POWER_DEGREE,
-    MAX_POWER_TERMS,
+    MAX_TERMS,
     ParseError,
     Poly,
     format_poly,
@@ -209,7 +209,7 @@ def test_parse_errors_carry_position():
     # and by its number of terms: 74,613 here, which took seconds to expand
     names = "abcdef"
     started = time.perf_counter()
-    with pytest.raises(ParseError, match=f"limit {MAX_POWER_TERMS}") as err:
+    with pytest.raises(ParseError, match=f"limit {MAX_TERMS}") as err:
         parse_poly("(a+b+c+d+e+f+1)^16", names)
     assert time.perf_counter() - started < 1
     assert err.value.position == 16
@@ -220,6 +220,18 @@ def test_parse_errors_carry_position():
     dense = "(1 + x + y + z + x^2 + x*y + x*z + y^2 + y*z + z^2)^8"
     assert len(p3(dense).terms) == 969
     assert p2("0^3").is_zero()
+    # a product is bounded the same way: two 969-term factors, C(6+32, 6)
+    # monomials and 969^2 products of terms, took about 8 s to multiply
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match=f"product of more terms than the limit {MAX_TERMS}") as err:
+        parse_poly("(a+b+c+1)^16*(a+b+c+1)^16", names)
+    assert time.perf_counter() - started < 1
+    assert err.value.position == 12
+    # the smaller count decides: 153^2 products of terms, but only
+    # C(2+32, 2) = 561 monomials of degree <= 32 in two variables
+    assert len(p2("(x+y+1)^16*(x+y+1)^16").terms) == 561
+    assert p2("0*(x+y+1)^16").is_zero()
+    assert parse_poly("0*0", "x").is_zero()
 
 
 def test_format_round_trip(rng):
