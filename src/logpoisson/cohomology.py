@@ -32,8 +32,11 @@ from .poly import Poly, monomials_of_degree
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 # The most basis cochains one elimination may take.  The windows of the
-# tests, demos and benchmark need at most a few thousand; a far larger
-# window would run for hours and exhaust memory on its echelon rows.
+# tests, demos and benchmark need at most a few thousand.  The limit
+# bounds memory, not time: {x,y} = x(1+xy+y^2) along x at max_degree 150
+# needs 24,492 basis 1-cochains, well inside it, and its H^2 table took
+# 155 s, since on ungraded input elimination grows far faster than the
+# column count (ROADMAP item 3).
 MAX_BASIS_SIZE = 100_000
 
 

@@ -11,6 +11,7 @@ k-cochain are indexed by strictly increasing k-tuples of basis indices.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
@@ -165,6 +166,12 @@ def differential(data: LieRinehartData, cochain: Cochain) -> Cochain:
     + sum_{i<j} (-1)^{i+j}  cochain(bracket(t_i, t_j), rest),
     where the bracket argument expands A-linearly through the structure
     constants.  A top-degree cochain maps to the zero cochain.
+
+    The sums are pushed from the components f on T: each index i not in
+    T adds (-1)^pos_U(i) anchor(i)(f) to U = T + {i}, and each l in T at
+    position q, with each pair a < b outside T - {l} whose bracket has
+    coefficient c at l, adds (-1)^(q + pos_U(a) + pos_U(b)) c f to
+    U = T - {l} + {a, b}.
     """
     k, r, nvars = cochain.k, data.r, data.nvars
     if cochain.r != r or cochain.nvars != nvars:
@@ -173,28 +180,31 @@ def differential(data: LieRinehartData, cochain: Cochain) -> Cochain:
         # top degree: there is nowhere to go, return the zero top cochain
         return Cochain.zero(r, r, nvars)
     out: dict[tuple[int, ...], Poly] = {}
-    for tup in combinations(range(r), k + 1):
-        total = Poly.zero(nvars)
-        for pos, t in enumerate(tup):
-            rest = tup[:pos] + tup[pos + 1:]
-            f = cochain.component(rest)
-            if f:
-                term = data.anchors[t].apply(f)
-                total = total - term if pos % 2 else total + term
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                rest = tuple(t for pos, t in enumerate(tup) if pos not in (a, b))
-                vec = data.bracket_vector(tup[a], tup[b])
-                for l, s in enumerate(vec):
-                    if s.is_zero():
-                        continue
-                    val = cochain.value((l,) + rest)
-                    if val.is_zero():
-                        continue
-                    term = s * val
-                    total = total - term if (a + b) % 2 else total + term
-        if total:
-            out[tup] = total
+
+    def add(target: tuple[int, ...], power: int, term: Poly) -> None:
+        # out[target] += (-1)^power term
+        have = out.get(target)
+        if have is None:
+            out[target] = -term if power % 2 else term
+        else:
+            out[target] = have - term if power % 2 else have + term
+
+    for tup, f in cochain.comps.items():
+        for i, anchor in enumerate(data.anchors):
+            if i not in tup:
+                term = anchor.apply(f)
+                if term:
+                    pos = bisect(tup, i)
+                    add(tup[:pos] + (i,) + tup[pos:], pos, term)
+        for q, l in enumerate(tup):
+            rest = tup[:q] + tup[q + 1:]
+            for (a, b), vec in data.sc.items():
+                c = vec[l]
+                if c and a not in rest and b not in rest:
+                    pa = bisect(rest, a)
+                    pb = bisect(rest, b)  # a < b, so b sits at pb + 1 in U
+                    target = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
+                    add(target, q + pa + pb + 1, c * f)
     return Cochain(k + 1, r, nvars, out)
 
 

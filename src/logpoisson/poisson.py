@@ -31,7 +31,9 @@ class Derivation:
         out = Poly.zero(f.nvars)
         for j, c in enumerate(self.coeffs):
             if c:
-                out = out + c * f.partial(j)
+                df = f.partial(j)
+                if df:
+                    out = out + c * df
         return out
 
 

@@ -50,11 +50,12 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
         raise ValueError("degree must be nonnegative")
     if nvars == 1:
         return [(degree,)]
-    out = []
-    for e in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - e):
-            out.append((e,) + rest)
-    return out
+    # tails[t]: the monomials of degree t in the last variables, in order
+    tails = [[(t,)] for t in range(degree + 1)]
+    for _ in range(nvars - 2):
+        tails = [[(e,) + rest for e in range(t, -1, -1) for rest in tails[t - e]]
+                 for t in range(degree + 1)]
+    return [(e,) + rest for e in range(degree, -1, -1) for rest in tails[degree - e]]
 
 
 class Poly:
@@ -72,11 +73,16 @@ class Poly:
                     raise ValueError(
                         f"monomial {mono} has {len(mono)} exponents, expected {nvars}"
                     )
+                # bool is an int subclass but never an exponent or a scalar
+                if any(type(e) is bool or not isinstance(e, int) for e in mono):
+                    raise TypeError(f"exponents of {mono} must be ints")
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in {mono}")
-                c = Fraction(coeff)
-                if c:
-                    canon[tuple(mono)] = c
+                if not _is_scalar(coeff):
+                    raise TypeError(
+                        f"coefficient {coeff!r} must be an int or a Fraction")
+                if coeff:
+                    canon[tuple(mono)] = Fraction(coeff)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", canon)
 
@@ -91,7 +97,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -103,7 +109,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, nvars: int, expo: Monomial, coeff: Scalar = 1) -> "Poly":
-        return cls(nvars, {tuple(expo): Fraction(coeff)})
+        return cls(nvars, {tuple(expo): coeff})
 
     # -- structure ---------------------------------------------------
 
@@ -128,7 +134,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self == Poly.const(self.nvars, other)
         return NotImplemented
 
@@ -152,13 +158,17 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Poly(self.nvars, out)
+            c = out.get(mono, 0) + coeff
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        return _trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return _trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other, self.nvars)
@@ -173,9 +183,11 @@ class Poly:
         return other - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
+            if not other:
+                return _trusted(self.nvars, {})
             c = Fraction(other)
-            return Poly(self.nvars, {m: v * c for m, v in self.terms.items()})
+            return _trusted(self.nvars, {m: v * c for m, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
@@ -183,8 +195,8 @@ class Poly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = monomial_mul(ma, mb)
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
-        return Poly(self.nvars, out)
+                out[mono] = out.get(mono, 0) + ca * cb
+        return _trusted(self.nvars, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -210,7 +222,7 @@ class Poly:
             lowered = list(mono)
             lowered[index] = e - 1
             out[tuple(lowered)] = coeff * e
-        return Poly(self.nvars, out)
+        return _trusted(self.nvars, out)
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
@@ -241,7 +253,7 @@ class Poly:
                 return None
             qm = monomial_div(m, lm)
             qc = rem[m] / lc
-            quot[qm] = quot.get(qm, Fraction(0)) + qc
+            quot[qm] = qc
             for dm, dc in divisor.terms.items():
                 t = monomial_mul(qm, dm)
                 nv = rem.get(t, Fraction(0)) - qc * dc
@@ -249,7 +261,9 @@ class Poly:
                     rem[t] = nv
                 else:
                     rem.pop(t, None)
-        return Poly(self.nvars, quot)
+        # each step's quotient monomial is new: the remainder's leading
+        # monomial strictly decreases, so no quotient term cancels
+        return _trusted(self.nvars, quot)
 
     # -- iteration helpers -------------------------------------------
 
@@ -259,10 +273,24 @@ class Poly:
             yield mono, self.terms[mono]
 
 
+def _trusted(nvars: int, terms: dict[Monomial, Fraction]) -> Poly:
+    # Poly without validation, for results of the arithmetic above:
+    # terms must already be canonical, nonzero Fractions on int exponent
+    # tuples of length nvars, and are not copied.
+    poly = object.__new__(Poly)
+    object.__setattr__(poly, "nvars", nvars)
+    object.__setattr__(poly, "terms", terms)
+    return poly
+
+
+def _is_scalar(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def _coerce(value, nvars: int):
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if _is_scalar(value):
         return Poly.const(nvars, value)
     return NotImplemented
 

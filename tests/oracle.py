@@ -289,6 +289,46 @@ def log_derham_differential(basis, cochain):
     return Cochain(cochain.k + 1, n, n, out)
 
 
+# -- the Lie-Rinehart differential, pulled into each target tuple -----------
+
+
+def pull_differential(data, cochain):
+    """The generic differential in its pull form: every target tuple
+    evaluates the cochain on each pair bracket and each removed index
+    through bracket_vector and Cochain.value.  The package pushes from
+    the cochain's components instead; both must agree."""
+    k, r, nvars = cochain.k, data.r, data.nvars
+    if cochain.r != r or cochain.nvars != nvars:
+        raise ValueError("cochain does not match the complex")
+    if k >= r:
+        # top degree: there is nowhere to go, return the zero top cochain
+        return Cochain.zero(r, r, nvars)
+    out: dict[tuple[int, ...], Poly] = {}
+    for tup in combinations(range(r), k + 1):
+        total = Poly.zero(nvars)
+        for pos, t in enumerate(tup):
+            rest = tup[:pos] + tup[pos + 1:]
+            f = cochain.component(rest)
+            if f:
+                term = data.anchors[t].apply(f)
+                total = total - term if pos % 2 else total + term
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                rest = tuple(t for pos, t in enumerate(tup) if pos not in (a, b))
+                vec = data.bracket_vector(tup[a], tup[b])
+                for l, s in enumerate(vec):
+                    if s.is_zero():
+                        continue
+                    val = cochain.value((l,) + rest)
+                    if val.is_zero():
+                        continue
+                    term = s * val
+                    total = total - term if (a + b) % 2 else total + term
+        if total:
+            out[tup] = total
+    return Cochain(k + 1, r, nvars, out)
+
+
 # -- anchors, structure constants and the Hamiltonian matrix, directly -------
 #
 # logvars is the set of divisor variables: the basis form of x_j is dx_j/x_j

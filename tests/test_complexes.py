@@ -9,7 +9,9 @@ On the same structures the packed coordinates of the elimination are
 checked against the key tuples they stand for.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,7 @@ from logpoisson.complexes import (
 )
 from logpoisson.logforms import DivisionObstruction, LogBasis, log_hamiltonian_matrix
 from logpoisson.poisson import Derivation, LogDivisorSpec, PoissonStructure, is_log_principal
-from logpoisson.poly import Poly
+from logpoisson.poly import Poly, monomials_of_degree
 from logpoisson.selfcheck import (
     XY,
     p2,
@@ -39,7 +41,7 @@ from logpoisson.selfcheck import (
     worked_structures,
 )
 from conftest import generated_complexes, polys, random_poly
-from oracle import log_derham_differential
+from oracle import log_derham_differential, pull_differential
 
 
 # -- anchors and structure constants of the worked structures ----------
@@ -242,6 +244,51 @@ def test_alternation_of_value():
     assert c.value((0, 2)) == p3("x")
     assert c.value((2, 0)) == p3("-x")
     assert c.value((2, 2)).is_zero()
+
+
+# -- the pushed differential against the pulled reference ---------------
+
+
+def rational_cochain(rng, L, k):
+    """A k-cochain on about half the tuples, with rational coefficients.
+    Components are drawn as rational multiples of two shared polynomials,
+    so pushes from different components into one target can cancel."""
+    monos = [m for d in range(4) for m in monomials_of_degree(L.nvars, d)]
+    pool = [Poly(L.nvars, {rng.choice(monos): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                           for _ in range(3)}) for _ in range(2)]
+    comps = {tup: rng.choice(pool) * Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+             for tup in combinations(range(L.r), k) if rng.random() < 0.6}
+    return Cochain(k, L.r, L.nvars, comps)
+
+
+def assert_push_equals_pull(rng, L, rounds):
+    for k in range(L.r + 1):
+        for _ in range(rounds):
+            c = rational_cochain(rng, L, k)
+            assert differential(L, c) == pull_differential(L, c), (L.name, k, c)
+
+
+def test_differential_equals_pull_form_on_worked_complexes():
+    rng = random.Random(11)
+    for P, B in worked_structures():
+        for L in (log_poisson_complex(P, B), poisson_complex(P), log_derham_complex(B)):
+            assert_push_equals_pull(rng, L, 20)
+
+
+@settings(max_examples=20, deadline=None)
+@given(f=polys(2), seed=st.integers(0, 2**32))
+def test_differential_equals_pull_form_on_plane_brackets(f, seed):
+    P = PoissonStructure(XY, {(0, 1): Poly.variable(2, 0) * f})
+    for L in generated_complexes(P, [Poly.variable(2, 0)]):
+        assert_push_equals_pull(random.Random(seed), L, 3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=log_canonical(), seed=st.integers(0, 2**32))
+def test_differential_equals_pull_form_on_log_canonical_brackets(case, seed):
+    P, logvars = case
+    for L in generated_complexes(P, [Poly.variable(P.n, j) for j in sorted(logvars)]):
+        assert_push_equals_pull(random.Random(seed), L, 3)
 
 
 # -- de Rham complex ----------------------------------------------------

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logpoisson.poly import (
     MAX_POWER_DEGREE,
@@ -14,7 +15,7 @@ from logpoisson.poly import (
     parse_poly,
 )
 from logpoisson.selfcheck import XY, XYZ, p2, p3
-from conftest import random_nonzero_poly, random_poly
+from conftest import polys, random_nonzero_poly, random_poly
 
 
 def test_add_examples():
@@ -174,6 +175,49 @@ def test_cancellation_empties_term_map(rng):
     for _ in range(50):
         f = random_poly(rng, 3, 4)
         assert (f + (-f)).terms == {}
+
+
+def test_constructor_rejects_coercible_input():
+    # floats, strings and bools are rejected, never coerced
+    for terms in ({(1,): 0.1}, {(1,): "1/3"}, {(1,): True}, {(1,): 1.0},
+                  {(1.5,): 1}, {(True,): 1}, {("1",): 1}):
+        with pytest.raises(TypeError):
+            Poly(1, terms)
+    for make in (lambda: Poly.const(1, 0.5), lambda: Poly.monomial(1, (1,), "2"),
+                 lambda: Poly.monomial(1, (2.0,))):
+        with pytest.raises(TypeError):
+            make()
+    x = Poly.variable(1, 0)
+    for op in (lambda: x + True, lambda: x * True, lambda: x * 0.5, lambda: 1.5 - x):
+        with pytest.raises(TypeError):
+            op()
+    assert x != True and Poly.const(1, 1) != True
+    p = Poly(2, {(1, 0): 2, (0, 1): Fraction(1, 3), (1, 1): 0})
+    assert p.terms == {(1, 0): Fraction(2), (0, 1): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def assert_canonical(p: Poly, nvars: int):
+    """Nonzero Fractions on int exponent tuples of length nvars, and the
+    same polynomial as the validating constructor builds from them."""
+    assert p.nvars == nvars
+    for mono, coeff in p.terms.items():
+        assert type(mono) is tuple and len(mono) == nvars
+        assert all(type(e) is int and e >= 0 for e in mono)
+        assert type(coeff) is Fraction and coeff != 0
+    assert p == Poly(nvars, p.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=polys(2), g=polys(2), c=st.sampled_from([0, 1, -2, Fraction(3, 4)]))
+def test_arithmetic_results_are_canonical(f, g, c):
+    results = [f + g, f - g, f - f, -f, f * g, f * c, c * f, f.partial(0), f.partial(1)]
+    if g:
+        assert (f * g).exact_div(g) == f
+        results += [(f * g).exact_div(g), f.exact_div(g)]
+    for p in results:
+        if p is not None:  # f is not a multiple of g
+            assert_canonical(p, 2)
 
 
 def test_parse_whitespace_insensitive():
