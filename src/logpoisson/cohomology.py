@@ -2,10 +2,26 @@
 
 The complexes are infinite dimensional over Q; we compute per-degree
 cohomology dimensions through the total-degree filtration F_d (cochains
-whose coefficients have total degree at most d).  The differentials are
-not graded, so images are computed from sources up to degree D + buffer
-and then intersected with F_d by exact row reduction; a stabilization
-flag records whether an entry survives enlarging the buffer.
+whose coefficients have total degree at most d).  In general the
+differentials are not graded, so images are computed from sources up to
+degree D + buffer and then intersected with F_d by exact row reduction;
+a stabilization flag records whether an entry survives enlarging the
+buffer.
+
+On graded input fewer sources provably suffice.  A stencil term maps
+x^m e_T to x^(m+s) e_U, changing the degree by delta = |s|.  d^k is
+graded when integers phi(T) on k-tuples and psi(U) on (k+1)-tuples give
+delta = psi(U) - phi(T) for every term; its reach is the largest
+max phi - min psi over the components of the T-U graph (at least 0).
+Then im meet F_d is spanned by the images of sources of degree <= d + reach:
+  1. d preserves the weight |m| - phi(T), read as |m| - psi(U) on targets;
+  2. weight blocks are spanned by keys, so im meet F_d is the sum of
+     (image of a block) meet F_d over the blocks;
+  3. a block meeting F_d holds a target of degree w + psi(U) <= d, so its
+     sources have degree w + phi(T) <= d + reach.
+So a graded pass clamps each image limit L to min(L, D + reach), and a
+primitive search its top degree to deg(target) + reach; pivots of degree
+<= D, tables, flags and witnesses are the same as without the clamp.
 
 All elimination is exact and fraction-free.  A coordinate (degree,
 component tuple, monomial) of the sliced cochain space is packed into one
@@ -36,7 +52,11 @@ Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 # bounds memory, not time: {x,y} = x(1+xy+y^2) along x at max_degree 150
 # needs 24,492 basis 1-cochains, well inside it, and its H^2 table took
 # 155 s, since on ungraded input elimination grows far faster than the
-# column count (ROADMAP item 3).
+# column count (ROADMAP item 3).  The limit is checked on the window's
+# own source degrees.  A graded d^k eliminates fewer, only those up to
+# D + reach, since (module docstring) d keeps the weight |m| - phi(T),
+# weight blocks are spanned by keys, and a block meeting F_D has no
+# source above D + reach.
 MAX_BASIS_SIZE = 100_000
 
 
@@ -173,7 +193,9 @@ class Stencil:
     applies to the source monomial with its coefficient.  The
     coefficients of T are cleared of denominators by one common multiple,
     scale[T], so columns have integer entries.  max_shift is the largest
-    degree shift of a term.
+    degree shift of a term.  reach bounds the sources whose image meets
+    F_d by degree d + reach (module docstring); it is None when the terms
+    admit no grading, and 0 when there are none.
     """
 
     def __init__(self, data: LieRinehartData, k: int):
@@ -198,6 +220,7 @@ class Stencil:
             self.scale[tup] = scale
         self.max_shift = max((sum(shift) for terms in self.terms.values()
                               for _, _, shifts in terms for shift, _ in shifts), default=0)
+        self.reach = _reach(self.terms, k)
 
     def compile(self, coords: Coordinates) -> Column:
         """The column of scale[T] * d(x^m e_T) for a basis key of coords,
@@ -228,6 +251,42 @@ class Stencil:
             return {at: c for at, c in vec.items() if c}
 
         return column
+
+
+def _reach(terms: dict[tuple[int, ...], list], k: int) -> Optional[int]:
+    # Integers phi(T) on k-tuples and psi(U) on (k+1)-tuples with
+    # delta = psi(U) - phi(T) for every term's degree change delta, found
+    # by a walk over the T-U graph (the two kinds of tuple differ in
+    # length); None when a cycle contradicts them.
+    edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for tup, tup_terms in terms.items():
+        for _, target, shifts in tup_terms:
+            for shift, _ in shifts:
+                delta = sum(shift)
+                edges.setdefault(tup, []).append((target, delta))
+                edges.setdefault(target, []).append((tup, -delta))
+    level: dict[tuple[int, ...], int] = {}
+    reach = 0
+    for start in edges:
+        if start in level:
+            continue
+        level[start] = 0
+        component, stack = [start], [start]
+        while stack:
+            node = stack.pop()
+            for other, delta in edges[node]:
+                want = level[node] + delta
+                have = level.get(other)
+                if have is None:
+                    level[other] = want
+                    component.append(other)
+                    stack.append(other)
+                elif have != want:
+                    return None
+        reach = max(reach,
+                    max(level[t] for t in component if len(t) == k)
+                    - min(level[u] for u in component if len(u) != k))
+    return reach
 
 
 def _shifts(poly: Poly, j: Optional[int], scale: int) -> tuple:
@@ -311,6 +370,9 @@ def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
     intersection with F_d has one basis row per pivot of degree <= d.
     """
     stencil = Stencil(data, k)
+    if stencil.reach is not None:
+        # graded: sources above max_degree + reach add nothing to im meet F_max_degree
+        image_limits = [min(limit, max_degree + stencil.reach) for limit in image_limits]
     top = max((max_degree, *image_limits))
     coords = Coordinates(data, top + max(stencil.max_shift, 0) + 1)
     column = stencil.compile(coords)
@@ -453,6 +515,9 @@ def find_primitive(data: LieRinehartData, cochain: Cochain,
     # the base holds every exponent packed: sources, their columns and
     # the target, whose degree the window does not bound
     degree = max(key[0] for key in target)
+    if stencil.reach is not None:
+        # graded: sources above degree + reach add nothing to im meet F_degree
+        top = min(top, degree + stencil.reach)
     coords = Coordinates(data, max(top + max(stencil.max_shift, 0), degree) + 1)
     column = stencil.compile(coords)
     # the source with packed key s carries its own coordinate -2 - s, so

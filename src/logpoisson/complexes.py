@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .logforms import (
     LogBasis,
@@ -25,7 +25,7 @@ from .logforms import (
     structure_constants,
 )
 from .poisson import Derivation, PoissonStructure
-from .poly import Poly, Scalar
+from .poly import Poly, Scalar, _trusted
 
 
 @dataclass(frozen=True)
@@ -50,18 +50,6 @@ class LieRinehartData:
                 raise ValueError(f"structure constant key {(i, j)} out of range")
             if len(vec) != self.r:
                 raise ValueError("structure constant vector has wrong length")
-
-    def bracket_vector(self, i: int, j: int) -> tuple[Poly, ...]:
-        """Coefficients of the bracket of basis elements i and j (any order)."""
-        zero = tuple(Poly.zero(self.nvars) for _ in range(self.r))
-        if i == j:
-            return zero
-        if i < j:
-            return self.sc.get((i, j), zero)
-        vec = self.sc.get((j, i))
-        if vec is None:
-            return zero
-        return tuple(-p for p in vec)
 
     def degree_shift(self) -> int:
         """Largest total-degree increase the differential can cause,
@@ -111,22 +99,8 @@ class Cochain:
         return cls(k, r, nvars)
 
     def component(self, tup: tuple[int, ...]) -> Poly:
-        return self.comps.get(tuple(tup), Poly.zero(self.nvars))
-
-    def value(self, args: Sequence[int]) -> Poly:
-        """Evaluate on an arbitrary index sequence, with alternation."""
-        args = tuple(args)
-        if len(set(args)) != len(args):
-            return Poly.zero(self.nvars)
-        order = sorted(range(len(args)), key=args.__getitem__)
-        inversions = sum(
-            1
-            for a in range(len(args))
-            for b in range(a + 1, len(args))
-            if order[a] > order[b]
-        )
-        base = self.component(tuple(sorted(args)))
-        return -base if inversions % 2 else base
+        poly = self.comps.get(tuple(tup))
+        return _trusted(self.nvars, {}) if poly is None else poly
 
     def is_zero(self) -> bool:
         return not self.comps

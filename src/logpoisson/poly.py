@@ -13,6 +13,7 @@ they are safe to share between concurrent workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -48,14 +49,20 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
         raise ValueError("need at least one variable")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    return list(_monomials(nvars, degree))
+
+
+@lru_cache(maxsize=None)
+def _monomials(nvars: int, degree: int) -> tuple[Monomial, ...]:
+    # built once per (nvars, degree); monomials_of_degree copies it
     if nvars == 1:
-        return [(degree,)]
+        return ((degree,),)
     # tails[t]: the monomials of degree t in the last variables, in order
     tails = [[(t,)] for t in range(degree + 1)]
     for _ in range(nvars - 2):
         tails = [[(e,) + rest for e in range(t, -1, -1) for rest in tails[t - e]]
                  for t in range(degree + 1)]
-    return [(e,) + rest for e in range(degree, -1, -1) for rest in tails[degree - e]]
+    return tuple((e,) + rest for e in range(degree, -1, -1) for rest in tails[degree - e])
 
 
 class Poly:

@@ -292,10 +292,39 @@ def log_derham_differential(basis, cochain):
 # -- the Lie-Rinehart differential, pulled into each target tuple -----------
 
 
+def bracket_vector(data, i, j):
+    """Coefficients of the bracket of basis elements i and j (any order)."""
+    zero = tuple(Poly.zero(data.nvars) for _ in range(data.r))
+    if i == j:
+        return zero
+    if i < j:
+        return data.sc.get((i, j), zero)
+    vec = data.sc.get((j, i))
+    if vec is None:
+        return zero
+    return tuple(-p for p in vec)
+
+
+def cochain_value(cochain, args):
+    """Evaluate a cochain on an arbitrary index sequence, with alternation."""
+    args = tuple(args)
+    if len(set(args)) != len(args):
+        return Poly.zero(cochain.nvars)
+    order = sorted(range(len(args)), key=args.__getitem__)
+    inversions = sum(
+        1
+        for a in range(len(args))
+        for b in range(a + 1, len(args))
+        if order[a] > order[b]
+    )
+    base = cochain.component(tuple(sorted(args)))
+    return -base if inversions % 2 else base
+
+
 def pull_differential(data, cochain):
     """The generic differential in its pull form: every target tuple
     evaluates the cochain on each pair bracket and each removed index
-    through bracket_vector and Cochain.value.  The package pushes from
+    through bracket_vector and cochain_value.  The package pushes from
     the cochain's components instead; both must agree."""
     k, r, nvars = cochain.k, data.r, data.nvars
     if cochain.r != r or cochain.nvars != nvars:
@@ -315,11 +344,11 @@ def pull_differential(data, cochain):
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
                 rest = tuple(t for pos, t in enumerate(tup) if pos not in (a, b))
-                vec = data.bracket_vector(tup[a], tup[b])
+                vec = bracket_vector(data, tup[a], tup[b])
                 for l, s in enumerate(vec):
                     if s.is_zero():
                         continue
-                    val = cochain.value((l,) + rest)
+                    val = cochain_value(cochain, (l,) + rest)
                     if val.is_zero():
                         continue
                     term = s * val

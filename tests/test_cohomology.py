@@ -1,7 +1,9 @@
 """Engine tables against the dense brute-force oracle, with the expected
 values frozen from the oracle runs."""
 
+import random
 from fractions import Fraction
+from itertools import accumulate, combinations
 from math import gcd, lcm
 
 import pytest
@@ -15,6 +17,7 @@ from logpoisson.cohomology import (
     Echelon,
     SliceWindow,
     Stencil,
+    _degree_rows,
     _filtered_pass,
     basis_size,
     cochain_to_vector,
@@ -39,6 +42,7 @@ from logpoisson.selfcheck import (
     XYZ,
     p2,
     p3,
+    random_poly,
     setup_x,
     setup_x2,
     setup_xyz,
@@ -370,7 +374,7 @@ def test_tables_invariant_under_basis_permutation():
         sc = {}
         for i in range(data.r):
             for j in range(i + 1, data.r):
-                vec = data.bracket_vector(perm[i], perm[j])
+                vec = oracle.bracket_vector(data, perm[i], perm[j])
                 newvec = tuple(vec[perm[m]] for m in range(data.r))
                 if any(newvec):
                     sc[(i, j)] = newvec
@@ -395,6 +399,76 @@ def test_compare_tables_equal_case_and_errors():
     t4 = compute_table(poisson_complex(P), [0, 1], SliceWindow(5))
     with pytest.raises(ValueError):
         compare_tables(t1, t4)
+
+
+# -- the source bound on graded input ------------------------------------------
+
+
+def unclamped_pass(L, k, D, top):
+    """Kernel dims of d^k in F_0..F_D, and after each source degree up to
+    top the image pivots of degree <= d, from every source: no bound."""
+    stencil = Stencil(L, k)
+    coords = Coordinates(L, top + max(stencil.max_shift, 0) + 1)
+    column, ech = stencil.compile(coords), Echelon()
+    pivots, kernel, images, sources = [0] * (D + 1), [], [], 0
+    for d in range(top + 1):
+        for key in coords.keys(k, d):
+            sources += 1
+            piv = ech.insert(column(*key))
+            if piv is not None and coords.degree(piv) <= D:
+                pivots[coords.degree(piv)] += 1
+        kernel.append(sources - ech.rank)
+        images.append(list(accumulate(pivots)))
+    return kernel[:D + 1], images
+
+
+def graded_complexes():
+    x, y, z = (Poly.variable(3, j) for j in range(3))
+    canonical = PoissonStructure(XYZ, {(0, 1): 2 * x * y, (0, 2): -x * z, (1, 2): 3 * y * z})
+    yield from generated_complexes(canonical, [x, y, z])
+    yield from generated_complexes(canonical, [y])
+    for f in (p2("2*x + y"), p2("x^2 - 3*x*y + 1/2*y^2")):
+        yield from generated_complexes(PoissonStructure(XY, {(0, 1): p2("x") * f}), [p2("x")])
+    yield from worked_complexes()
+
+
+def test_tables_equal_the_unclamped_reference_on_graded_input():
+    for L in graded_complexes():
+        assert all(Stencil(L, k).reach is not None for k in range(L.r + 1)), L.name
+        D = 4 if L.nvars == 2 else 3
+        for buffer in (0, 1, 4):
+            table = compute_table(L, range(L.r + 1), SliceWindow(D, buffer))
+            passes = [unclamped_pass(L, k, D, D + buffer + 1) for k in range(L.r + 1)]
+            for k in range(L.r + 1):
+                image, wider = [passes[k - 1][1][D + b] for b in (buffer, buffer + 1)] \
+                    if k else ([0] * (D + 1),) * 2
+                assert table.rows[k] == _degree_rows(passes[k][0], image, wider), \
+                    (L.name, k, buffer)
+
+
+def test_reach_is_none_on_mixed_degree_brackets():
+    # the log de Rham complex does not see the bracket, so it stays graded
+    x = Poly.variable(2, 0)
+    P = PoissonStructure(XY, {(0, 1): x * p2("1 + x*y + y^2")})
+    mixed = [poisson_complex(jacobian_structure(p3("x^2 + y^3 + x*y*z"))),
+             *list(generated_complexes(P, [x]))[:2]]
+    for L in mixed:
+        assert [Stencil(L, k).reach for k in range(L.r + 1)] == [None] * L.r + [0], L.name
+
+
+def test_find_primitive_finds_every_image_on_graded_input():
+    rng = random.Random(5)
+    for L in graded_complexes():
+        for k in range(L.r):
+            u = Cochain(k, L.r, L.nvars, {tup: random_poly(rng, L.nvars, 3, 3)
+                                          for tup in combinations(range(L.r), k)})
+            target = differential(L, u)
+            if target.is_zero():
+                continue
+            deg = max(p.degree() for p in u.comps.values())
+            for D in range(deg + 1):
+                assert find_primitive(L, target, SliceWindow(D, deg - D)) is not None, \
+                    (L.name, k, u)
 
 
 # -- primitives ------------------------------------------------------------
