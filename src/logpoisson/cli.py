@@ -424,7 +424,9 @@ def parse_k_range(text: str, top: int) -> list[int]:
     except ValueError as err:
         raise SpecError(f"cannot parse k range {text!r}") from err
     # ks is increasing, so its ends bound it without spelling out a range
-    if ks and (ks[0] < 0 or ks[-1] > top):
+    if not ks:
+        raise SpecError(f"k range {text!r} is empty")
+    if ks[0] < 0 or ks[-1] > top:
         raise SpecError(f"k range {text!r} leaves the valid range 0..{top}")
     return list(ks)
 

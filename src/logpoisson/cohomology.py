@@ -19,9 +19,10 @@ Then im meet F_d is spanned by the images of sources of degree <= d + reach:
      (image of a block) meet F_d over the blocks;
   3. a block meeting F_d holds a target of degree w + psi(U) <= d, so its
      sources have degree w + phi(T) <= d + reach.
-So a graded pass clamps each image limit L to min(L, D + reach), and a
-primitive search its top degree to deg(target) + reach; pivots of degree
-<= D, tables, flags and witnesses are the same as without the clamp.
+So _filtered_pass, the one elimination of tables and primitive searches,
+clamps each image limit L to min(L, D + reach), D being the target's
+degree in a search; pivots of degree <= D, tables, flags and witnesses
+are the same as without the clamp.
 
 All elimination is exact and fraction-free.  A coordinate (degree,
 component tuple, monomial) of the sliced cochain space is packed into one
@@ -53,10 +54,8 @@ Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 # needs 24,492 basis 1-cochains, well inside it, and its H^2 table took
 # 155 s, since on ungraded input elimination grows far faster than the
 # column count (ROADMAP item 3).  The limit is checked on the window's
-# own source degrees.  A graded d^k eliminates fewer, only those up to
-# D + reach, since (module docstring) d keeps the weight |m| - phi(T),
-# weight blocks are spanned by keys, and a block meeting F_D has no
-# source above D + reach.
+# own source degrees; the one elimination pass then takes a graded d^k
+# only up to D + reach (module docstring).
 MAX_BASIS_SIZE = 100_000
 
 
@@ -160,22 +159,6 @@ class Coordinates:
             start = (degree << self.r | self.rank[tup]) * self.block
             for code, mono in monos:
                 yield start + code, tup, mono
-
-
-def cochain_to_vector(c: Cochain) -> dict[Key, Fraction]:
-    vec = {}
-    for tup, poly in c.comps.items():
-        for mono, coeff in poly.terms.items():
-            vec[(sum(mono), tup, mono)] = coeff
-    return vec
-
-
-def vector_to_cochain(vec: dict[Key, Fraction], k: int, data: LieRinehartData) -> Cochain:
-    comps: dict[tuple[int, ...], dict] = {}
-    for (_, tup, mono), coeff in vec.items():
-        comps.setdefault(tup, {})[mono] = coeff
-    return Cochain(k, data.r, data.nvars,
-                   {t: Poly(data.nvars, terms) for t, terms in comps.items()})
 
 
 # column(packed key, T, m) -> packed coordinates of one compiled column
@@ -358,23 +341,26 @@ class Echelon:
 
 
 def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
-                   image_limits: Sequence[int] = ()) -> tuple[list[int], list[list[int]]]:
-    """One elimination of d^k, its columns fed in degree order.
+                   image_limits: Sequence[int] = (), target_degree: Optional[int] = None,
+                   ) -> tuple[list[int], list[list[int]], Echelon, Coordinates]:
+    """The one elimination of d^k, its columns fed in degree order.
 
-    Returns dim(ker d^k meet F_d) for d = 0..max_degree and, for each
-    source limit L in image_limits, dim(im meet F_d) for d = 0..max_degree
-    where the image is spanned by the sources of degree <= L.  Restricting
-    the sources to F_d just selects columns, so the kernel is columns
-    minus rank after degree d.  Pivoting at the largest
-    (degree-compatible) key makes the span readable per degree: its
-    intersection with F_d has one basis row per pivot of degree <= d.
+    Returns dim(ker d^k meet F_d) for d = 0..max_degree, for each source
+    limit L in image_limits dim(im meet F_d) for d = 0..max_degree from
+    the sources of degree <= L, and the echelon with its coordinates.
+    The kernel is columns minus rank after degree d.  Pivoting at the
+    largest (degree-compatible) key makes the span readable per degree:
+    its intersection with F_d has one basis row per pivot of degree <= d.
+    Given target_degree, the base also holds keys of that degree and the
+    column of source s carries the bookkeeping coordinate -2 - s with
+    value scale[T], recording which combination of sources a row is.
     """
     stencil = Stencil(data, k)
     if stencil.reach is not None:
         # graded: sources above max_degree + reach add nothing to im meet F_max_degree
         image_limits = [min(limit, max_degree + stencil.reach) for limit in image_limits]
     top = max((max_degree, *image_limits))
-    coords = Coordinates(data, top + max(stencil.max_shift, 0) + 1)
+    coords = Coordinates(data, max(top + max(stencil.max_shift, 0), target_degree or 0) + 1)
     column = stencil.compile(coords)
     ech = Echelon()
     pivots = [0] * (max_degree + 1)
@@ -385,6 +371,8 @@ def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
         for src, tup, mono in coords.keys(k, d):
             sources += 1
             vec = column(src, tup, mono)
+            if target_degree is not None:
+                vec[-2 - src] = stencil.scale[tup]
             piv = ech.insert(vec) if vec else None
             if piv is not None and coords.degree(piv) <= max_degree:
                 pivots[coords.degree(piv)] += 1
@@ -392,7 +380,7 @@ def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
             kernel.append(sources - ech.rank)
         if d in image_limits:
             images[d] = list(accumulate(pivots))
-    return kernel, [images[limit] for limit in image_limits]
+    return kernel, [images[limit] for limit in image_limits], ech, coords
 
 
 @dataclass(frozen=True)
@@ -458,7 +446,8 @@ def compute_table(data: LieRinehartData, ks: Iterable[int],
     # every basis is counted before any is built
     for j, image_limits in plan.items():
         basis_size(data, j, max((D, *image_limits)))
-    passes = {j: _filtered_pass(data, j, D, image_limits)
+    # only the counts are kept, so no echelon outlives its pass
+    passes = {j: _filtered_pass(data, j, D, image_limits)[:2]
               for j, image_limits in plan.items()}
     no_image = [0] * (D + 1)
     rows = {}
@@ -506,41 +495,30 @@ def find_primitive(data: LieRinehartData, cochain: Cochain,
     k = cochain.k
     if k == 0:
         raise ValueError("0-cochains have no primitives")
-    target = cochain_to_vector(cochain)
-    if not target:
+    if cochain.is_zero():
         return Cochain.zero(k - 1, data.r, data.nvars)
     top = window.max_degree + window.resolve_buffer(data)
     basis_size(data, k - 1, top)
-    stencil = Stencil(data, k - 1)
-    # the base holds every exponent packed: sources, their columns and
-    # the target, whose degree the window does not bound
-    degree = max(key[0] for key in target)
-    if stencil.reach is not None:
-        # graded: sources above degree + reach add nothing to im meet F_degree
-        top = min(top, degree + stencil.reach)
-    coords = Coordinates(data, max(top + max(stencil.max_shift, 0), degree) + 1)
-    column = stencil.compile(coords)
-    # the source with packed key s carries its own coordinate -2 - s, so
-    # a reduced vector records which combination of the sources it is
-    ech = Echelon()
-    for d in range(top + 1):
-        for src, tup, mono in coords.keys(k - 1, d):
-            vec = column(src, tup, mono)
-            vec[-2 - src] = stencil.scale[tup]
-            ech.insert(vec)
+    terms = [(tup, mono, c) for tup, poly in cochain.comps.items()
+             for mono, c in poly.terms.items()]
+    degree = max(sum(mono) for _, mono, _ in terms)
+    *_, ech, coords = _filtered_pass(data, k - 1, min(degree, top), [top], degree)
     # the target, cleared of denominators, with the marker -1 for its multiple
-    clear = lcm(*(c.denominator for c in target.values()))
-    packed = {coords.pack(key): c.numerator * (clear // c.denominator)
-              for key, c in target.items()}
-    packed[-1] = clear
-    residual = ech.reduce(packed)
+    clear = lcm(*(c.denominator for *_, c in terms))
+    target = {coords.pack((sum(mono), tup, mono)): c.numerator * (clear // c.denominator)
+              for tup, mono, c in terms}
+    target[-1] = clear
+    residual = ech.reduce(target)
     if max(residual) >= 0:
         return None
     # residual = m * cochain - d(u) with bookkeeping -u and marker m
     multiple = residual.pop(-1)
-    witness = vector_to_cochain(
-        {coords.unpack(-2 - key, k - 1): Fraction(-c, multiple) for key, c in residual.items()},
-        k - 1, data)
+    comps: dict[tuple[int, ...], dict] = {}
+    for key, c in residual.items():
+        _, tup, mono = coords.unpack(-2 - key, k - 1)
+        comps.setdefault(tup, {})[mono] = Fraction(-c, multiple)
+    witness = Cochain(k - 1, data.r, data.nvars,
+                      {tup: Poly(data.nvars, comp) for tup, comp in comps.items()})
     if differential(data, witness) != cochain:
         raise AssertionError("primitive verification failed: d(witness) != cochain")
     return witness

@@ -262,13 +262,6 @@ def _closed_forms():
             1: lambda c: {(0, 1): top(c[(0,)], c[(1,)])},
         }
 
-    def three_var(d0, d1, d2):
-        return {
-            0: d0,
-            1: d1,
-            2: d2,
-        }
-
     forms = {}
     forms["log-poisson/x"] = two_var(
         lambda f: f.partial(1), lambda f: -x * f.partial(0),
@@ -302,7 +295,7 @@ def _closed_forms():
         g01, g02 = c[(0, 1)], c[(0, 2)]
         return {(0, 1, 2): -x3 * z3 * g02.partial(2) - x3 * y3 * g01.partial(1)}
 
-    forms["log-poisson/xyz"] = three_var(log3_d0, log3_d1, log3_d2)
+    forms["log-poisson/xyz"] = {0: log3_d0, 1: log3_d1, 2: log3_d2}
 
     def poi3_d0(c):
         f = c[()]
@@ -322,7 +315,7 @@ def _closed_forms():
         return {(0, 1, 2): -xyz * g02.partial(2) - xyz * g01.partial(1)
                            + x3 * z3 * g01 + x3 * y3 * g02}
 
-    forms["poisson/xyz"] = three_var(poi3_d0, poi3_d1, poi3_d2)
+    forms["poisson/xyz"] = {0: poi3_d0, 1: poi3_d1, 2: poi3_d2}
     return forms
 
 

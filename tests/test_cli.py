@@ -300,6 +300,9 @@ def test_k_range_parsing():
         cli.parse_k_range("0..9", 3)
     with pytest.raises(cli.SpecError):
         cli.parse_k_range("-1", 3)
+    for empty in ("2..1", "2-1", "1000000000000..0"):
+        with pytest.raises(cli.SpecError, match="empty"):
+            cli.parse_k_range(empty, 3)
     # only the ends of a range are inspected, so a huge one fails at once
     with pytest.raises(cli.SpecError):
         cli.parse_k_range("0..1000000000000", 3)
@@ -320,6 +323,13 @@ def test_cohomology_k_beyond_basis_is_rejected(tmp_path):
     assert code == cli.EXIT_PARSE_ERROR
     assert out == ""
     assert "0..2" in err
+
+
+def test_compare_empty_k_range_is_rejected(tmp_path):
+    code, out, err = run_main_err(["compare", "--k", "2..1"], EX1, tmp_path)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert out == ""
+    assert "empty" in err
 
 
 def test_prequantize_one_variable_is_rejected(tmp_path):

@@ -20,7 +20,6 @@ from logpoisson.cohomology import (
     _degree_rows,
     _filtered_pass,
     basis_size,
-    cochain_to_vector,
     compare_tables,
     compute_table,
     find_primitive,
@@ -68,25 +67,33 @@ def basis_cochain(L, key):
     return Cochain(len(tup), L.r, L.nvars, {tup: Poly.monomial(L.nvars, mono)})
 
 
+def cochain_vector(c):
+    """The cochain as {(d, T, m): coefficient}."""
+    return {(sum(mono), tup, mono): coeff
+            for tup, poly in c.comps.items() for mono, coeff in poly.terms.items()}
+
+
 # -- one filtered pass over degree slices ------------------------------------
 
 
-def test_slice_matrix_degree_zero():
+def test_pass_of_d0_keeps_only_the_constants():
     # sources of degree <= 0 and <= 1: 1 and 3 columns, only the
     # constants are closed, so the ranks are 0 and 2
     P, B = setup_x()
     L = log_poisson_complex(P, B)
-    kernel, images = _filtered_pass(L, 0, 1)
+    kernel, images, ech, _ = _filtered_pass(L, 0, 1)
+    assert ech.rank == 2
     assert [basis_size(L, 0, d) for d in (0, 1)] == [1, 3]
     assert kernel == [1, 1] and images == []
 
 
-def test_slice_matrix_empty():
+def test_pass_beyond_the_top_cochain_degree_is_empty():
     P, B = setup_x()
     L = log_poisson_complex(P, B)
     # k beyond the basis size
     assert basis_size(L, 3, 4) == 0 and basis_keys(L, 3, 4) == []
-    assert _filtered_pass(L, 3, 4, [4]) == ([0] * 5, [[0] * 5])
+    kernel, images, ech, _ = _filtered_pass(L, 3, 4, [4])
+    assert (kernel, images, ech.rank) == ([0] * 5, [[0] * 5], 0)
     assert Stencil(L, 3).terms == {}
 
 
@@ -105,7 +112,7 @@ def assert_stencil_matches_engine(L, max_degree):
             for src, tup, mono in coords.keys(k, d):
                 key = (d, tup, mono)
                 assert coords.unpack(src, k) == key
-                generic = cochain_to_vector(differential(L, basis_cochain(L, key)))
+                generic = cochain_vector(differential(L, basis_cochain(L, key)))
                 column = compiled(src, tup, mono)
                 unpacked = {coords.unpack(at, k + 1): c for at, c in column.items()}
                 assert len(unpacked) == len(column)
@@ -229,7 +236,7 @@ def test_rank_nullity_against_dense_oracle():
     L = log_poisson_complex(P, B)
     dense = oracle.ex2_log()
     for k in (0, 1):
-        kernel, _ = _filtered_pass(L, k, 4)
+        kernel, *_ = _filtered_pass(L, k, 4)
         for d in (0, 2, 4):
             rank = basis_size(L, k, d) - kernel[d]
             ambient = dense.coords(k + 1, d + 6)
@@ -472,6 +479,27 @@ def test_find_primitive_finds_every_image_on_graded_input():
 
 
 # -- primitives ------------------------------------------------------------
+
+
+def test_find_primitive_none_matches_the_dense_oracle():
+    # a top cochain has a primitive from sources of degree <= D + buffer
+    # exactly when its row adds nothing to the rank of their image rows;
+    # g = 1 and x are graded, the other two have reach None
+    for g in ("1", "x", "1 + x*y + y^2", "2 + y"):
+        P = PoissonStructure(XY, {(0, 1): p2("x") * p2(g)})
+        L = log_poisson_complex(P, LogBasis.from_divisor(2, LogDivisorSpec.normalize([p2("x")])))
+        assert (Stencil(L, 1).reach is None) == (g not in ("1", "x")), g
+        dense = oracle.x_times_g_log(p2(g))
+        for D, buffer in ((2, 0), (3, 1), (1, 3)):
+            top = D + buffer
+            ambient = dense.coords(2, top + 4)
+            image = dense.image_rows(1, top, ambient)
+            rank = oracle.dense_rank(image)
+            for key in dense.coords(2, top + 1):
+                row = [Fraction(c == key) for c in ambient]
+                exact = oracle.dense_rank(image + [row]) == rank
+                found = find_primitive(L, basis_cochain(L, key), SliceWindow(D, buffer))
+                assert (found is not None) == exact, (g, D, buffer, key)
 
 
 def test_find_primitive_first_structure():
