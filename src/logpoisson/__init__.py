@@ -35,25 +35,23 @@ from .logforms import (
     LogSymplecticReport,
     OneForm,
     express_d,
-    extension_bracket,
-    form_bracket,
-    log_hamiltonian,
     log_hamiltonian_basis,
     log_hamiltonian_matrix,
     log_symplectic_test,
     pair_scalar,
     structure_constants,
-    two_form_value,
 )
 from .complexes import (
     Cochain,
     LieRinehartData,
     differential,
+    extension_bracket,
     log_derham_complex,
     log_hamiltonian_cochain_map,
     log_poisson_complex,
     poisson_complex,
     two_form_cochain,
+    two_form_value,
 )
 from .cohomology import (
     CohomologyTable,
@@ -91,11 +89,9 @@ __all__ = [
     "express_d",
     "extension_bracket",
     "find_primitive",
-    "form_bracket",
     "format_poly",
     "is_log_principal",
     "log_derham_complex",
-    "log_hamiltonian",
     "log_hamiltonian_basis",
     "log_hamiltonian_cochain_map",
     "log_hamiltonian_matrix",

@@ -156,22 +156,6 @@ def parse_spec(document) -> ProblemSpec:
                        window.buffer)
 
 
-def serialize_spec(spec: ProblemSpec) -> dict:
-    names = list(spec.variables)
-    doc = {
-        "variables": names,
-        "bracket": {
-            f"{names[i]},{names[j]}": format_poly(p, names)
-            for i, j, p in spec.bracket
-        },
-        "log_generators": [format_poly(g, names) for g in spec.log_generators],
-        "max_degree": spec.max_degree,
-    }
-    if spec.buffer is not None:
-        doc["buffer"] = spec.buffer
-    return doc
-
-
 # -- check ----------------------------------------------------------------
 #
 # Each command builds the document that --format json prints; the table

@@ -18,6 +18,7 @@ from typing import Mapping, Optional, Union
 
 from .logforms import (
     LogBasis,
+    OneForm,
     log_hamiltonian_basis,
     log_hamiltonian_matrix,
     pair_scalar,
@@ -64,6 +65,27 @@ class LieRinehartData:
                 if c:
                     shift = max(shift, c.degree())
         return shift
+
+    def anchor(self, alpha: OneForm) -> Derivation:
+        """sum_i alpha_i anchors[i]."""
+        total = [_trusted(self.nvars, {})] * self.nvars
+        for a, anchor in zip(alpha.coeffs, self.anchors):
+            if a:
+                total = [t + a * c for t, c in zip(total, anchor.coeffs)]
+        return Derivation(tuple(total))
+
+    def bracket(self, alpha: OneForm, beta: OneForm) -> OneForm:
+        """Component l of [alpha, beta] is
+        sum_{i<j} (a_i b_j - a_j b_i) sc[(i, j)][l]
+        + anchor(alpha)(b_l) - anchor(beta)(a_l)."""
+        a, b = alpha.coeffs, beta.coeffs
+        from_a, from_b = self.anchor(alpha), self.anchor(beta)
+        out = [from_a.apply(bl) - from_b.apply(al) for al, bl in zip(a, b)]
+        for (i, j), vec in self.sc.items():
+            w = a[i] * b[j] - a[j] * b[i]
+            if w:
+                out = [o + w * c for o, c in zip(out, vec)]
+        return OneForm(tuple(out))
 
 
 class Cochain:
@@ -248,3 +270,34 @@ def two_form_cochain(structure: PoissonStructure, basis: LogBasis) -> Cochain:
     n = structure.n
     pairs = combinations(range(n), 2)
     return Cochain(2, n, n, {p: pair_scalar(structure, basis, *p) for p in pairs})
+
+
+def two_form_value(pi: Cochain, alpha: OneForm, beta: OneForm) -> Poly:
+    """A two-cochain on a pair of one-forms:
+    sum_{i<j} (a_i b_j - a_j b_i) pi(i, j)."""
+    a, b = alpha.coeffs, beta.coeffs
+    total = _trusted(pi.nvars, {})
+    for (i, j), p in pi.comps.items():
+        total = total + (a[i] * b[j] - a[j] * b[i]) * p
+    return total
+
+
+def extension_bracket(structure: PoissonStructure, data: LieRinehartData, pi: Cochain,
+                      left: tuple[Poly, OneForm],
+                      right: tuple[Poly, OneForm]) -> tuple[Poly, OneForm]:
+    """Bracket on A + (one-forms) used for the central extension:
+
+    [(a, alpha), (b, beta)] =
+        ({a,b} + pi(alpha,beta) + rho(alpha)(b) - rho(beta)(a), [alpha, beta])
+
+    with rho and [,] the anchor and bracket of data.
+    """
+    a, alpha = left
+    b, beta = right
+    scalar = (
+        structure.bracket(a, b)
+        + two_form_value(pi, alpha, beta)
+        + data.anchor(alpha).apply(b)
+        - data.anchor(beta).apply(a)
+    )
+    return scalar, data.bracket(alpha, beta)

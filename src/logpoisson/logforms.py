@@ -1,4 +1,4 @@
-"""The free module of logarithmic one-forms and its bracket.
+"""The free module of logarithmic one-forms and its basis brackets.
 
 With every divisor generator normalized to a single variable, the module
 of logarithmic differentials is free with one basis form per ambient
@@ -7,9 +7,9 @@ x_j carries a divisor and h_j = 1 elsewhere.  Its dual vector field is
 h_j d/dx_j, so the coefficient of d f on the form is h_j df/dx_j, and
 every bracket of basis forms is a generator bracket divided by weights.
 The Poisson complex is the case where every weight is 1.  A one-form is
-then just a coefficient vector, and the logarithmic Hamiltonian map, the
-bracket on one-forms and the nondegeneracy test all become exact
-polynomial computations.
+then just a coefficient vector, and the anchors, structure constants and
+nondegeneracy test all become exact polynomial computations; the complex
+built from them (complexes.LieRinehartData) extends both to one-forms.
 """
 
 from __future__ import annotations
@@ -129,20 +129,6 @@ def log_hamiltonian_basis(structure: PoissonStructure, form: BasisForm) -> Deriv
     ))
 
 
-def log_hamiltonian(structure: PoissonStructure, basis: LogBasis, alpha: OneForm) -> Derivation:
-    """A-linear extension of log_hamiltonian_basis to one-forms."""
-    n = structure.n
-    total = [Poly.zero(n) for _ in range(n)]
-    for a, form in zip(alpha.coeffs, basis.forms):
-        if a.is_zero():
-            continue
-        image = log_hamiltonian_basis(structure, form)
-        for j in range(n):
-            if image.coeffs[j]:
-                total[j] = total[j] + a * image.coeffs[j]
-    return Derivation(tuple(total))
-
-
 def express_d(basis: LogBasis, f: Poly) -> OneForm:
     """The differential of f expanded in the basis: the coefficient of
     each form is its dual field applied to f."""
@@ -166,32 +152,6 @@ def pair_scalar(structure: PoissonStructure, basis: LogBasis, i: int, j: int) ->
 def structure_constants(structure: PoissonStructure, basis: LogBasis, i: int, j: int) -> OneForm:
     """The bracket of basis forms i and j, as a one-form."""
     return express_d(basis, pair_scalar(structure, basis, i, j))
-
-
-def form_bracket(structure: PoissonStructure, basis: LogBasis,
-                 alpha: OneForm, beta: OneForm) -> OneForm:
-    """Lie bracket on logarithmic one-forms.
-
-    Expanded over the basis with the module Leibniz rule:
-    [alpha, beta] = sum a_i b_j [e_i, e_j]
-                  + sum_j H(alpha)(b_j) e_j - sum_i H(beta)(a_i) e_i
-    where H is the logarithmic Hamiltonian map.
-    """
-    n = structure.n
-    total = OneForm.zero(basis.n, n)
-    for i, a in enumerate(alpha.coeffs):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(beta.coeffs):
-            if b.is_zero() or i == j:
-                continue
-            total = total + structure_constants(structure, basis, i, j).scale(a * b)
-    d_alpha = log_hamiltonian(structure, basis, alpha)
-    d_beta = log_hamiltonian(structure, basis, beta)
-    coeffs = list(total.coeffs)
-    for k in range(basis.n):
-        coeffs[k] = coeffs[k] + d_alpha.apply(beta.coeffs[k]) - d_beta.apply(alpha.coeffs[k])
-    return OneForm(tuple(coeffs))
 
 
 def log_hamiltonian_matrix(structure: PoissonStructure, basis: LogBasis) -> list[list[Poly]]:
@@ -235,40 +195,3 @@ def log_symplectic_test(structure: PoissonStructure, basis: LogBasis) -> LogSymp
     det = poly_det(log_hamiltonian_matrix(structure, basis), structure.n)
     ok = det.is_constant() and not det.is_zero()
     return LogSymplecticReport(ok, det)
-
-
-def two_form_value(structure: PoissonStructure, basis: LogBasis,
-                   alpha: OneForm, beta: OneForm) -> Poly:
-    """The induced alternating two-form evaluated on a pair of one-forms
-    (A-bilinear extension of pair_scalar)."""
-    n = structure.n
-    total = Poly.zero(n)
-    for i, a in enumerate(alpha.coeffs):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(beta.coeffs):
-            if b.is_zero() or i == j:
-                continue
-            total = total + a * b * pair_scalar(structure, basis, i, j)
-    return total
-
-
-def extension_bracket(structure: PoissonStructure, basis: LogBasis,
-                      left: tuple[Poly, OneForm],
-                      right: tuple[Poly, OneForm]) -> tuple[Poly, OneForm]:
-    """Bracket on A + (log one-forms) used for the central extension:
-
-    [(a, alpha), (b, beta)] =
-        ({a,b} + pi(alpha,beta) + H(alpha)(b) - H(beta)(a), [alpha, beta])
-
-    with pi the induced two-form and H the logarithmic Hamiltonian map.
-    """
-    a, alpha = left
-    b, beta = right
-    scalar = (
-        structure.bracket(a, b)
-        + two_form_value(structure, basis, alpha, beta)
-        + log_hamiltonian(structure, basis, alpha).apply(b)
-        - log_hamiltonian(structure, basis, beta).apply(a)
-    )
-    return scalar, form_bracket(structure, basis, alpha, beta)

@@ -81,13 +81,6 @@ def test_parse_spec_errors():
         cli.parse_spec(json.dumps(dict(EX1, extra_field=1)))
 
 
-def test_spec_round_trip():
-    for doc in (EX1, EX2, EX3):
-        spec = cli.parse_spec(json.dumps(doc))
-        again = cli.parse_spec(json.dumps(cli.serialize_spec(spec)))
-        assert spec == again
-
-
 # -- commands --------------------------------------------------------------
 
 
@@ -276,6 +269,16 @@ def test_selftest_exit_codes():
         code = cli.main(["selftest", "--mutate"])
     assert code == cli.EXIT_CHECK_FAILED
     assert "d-squared" in buf.getvalue()
+
+
+def test_package_exports_resolve_once_in_sorted_order():
+    import logpoisson
+
+    names = logpoisson.__all__
+    assert names == sorted(set(names))
+    star = {}
+    exec("from logpoisson import *", star)
+    assert [n for n in names if n not in star] == []
 
 
 def test_output_is_deterministic(tmp_path):

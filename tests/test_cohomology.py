@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from logpoisson import cohomology
 from logpoisson.cohomology import (
-    CohomologyTable,
     Coordinates,
     Echelon,
     SliceWindow,

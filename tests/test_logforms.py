@@ -1,19 +1,25 @@
+import random
+
 import pytest
 
+from logpoisson import selfcheck
+from logpoisson.complexes import (
+    extension_bracket,
+    log_poisson_complex,
+    two_form_cochain,
+    two_form_value,
+)
 from logpoisson.logforms import (
     BasisForm,
     DivisionObstruction,
     OneForm,
     express_d,
-    extension_bracket,
-    form_bracket,
     log_hamiltonian_basis,
     log_hamiltonian_matrix,
     log_symplectic_test,
     pair_scalar,
     poly_det,
     structure_constants,
-    two_form_value,
 )
 from logpoisson.poisson import Derivation, PoissonStructure
 from logpoisson.poly import Poly, parse_poly
@@ -98,18 +104,30 @@ def test_structure_constants_examples():
 
 def test_form_bracket_examples():
     P, B = setup_x()
+    L = log_poisson_complex(P, B)
     e0 = OneForm.basis_element(2, 2, 0)
     e1 = OneForm.basis_element(2, 2, 1)
-    assert form_bracket(P, B, e0, e1).is_zero()
+    assert L.bracket(e0, e1).is_zero()
     # [dx/x, y dy] = H(dx/x)(y) dy = dy
-    assert form_bracket(P, B, e0, e1.scale(p2("y"))) == one_form(B, "0", "1")
+    assert L.bracket(e0, e1.scale(p2("y"))) == one_form(B, "0", "1")
 
 
 def test_form_bracket_skew(rng):
-    P, B = setup_x2()
+    L = log_poisson_complex(*setup_x2())
     for _ in range(30):
-        a = random_one_form(rng, B)
-        assert form_bracket(P, B, a, a).is_zero()
+        a = random_one_form(rng, L)
+        assert L.bracket(a, a).is_zero()
+
+
+def test_bracket_suites_fail_on_the_mutated_complexes(monkeypatch):
+    # the suites read the complexes the tables use, so a corrupted
+    # structure constant there must show up in the one-form checks
+    mutated = selfcheck._all_complexes(mutate=True)
+    monkeypatch.setattr(selfcheck, "_all_complexes", lambda: mutated)
+    for suite in (selfcheck.suite_form_bracket_jacobi,
+                  selfcheck.suite_anchor_homomorphism):
+        result = suite(random.Random(1))
+        assert not result.ok and "mutated" in result.detail, result
 
 
 def test_log_hamiltonian_matrix_and_symplectic():
@@ -136,30 +154,31 @@ def test_poly_det_small():
     assert poly_det([], 2) == Poly.const(2, 1)
 
 
+def _extension(P, B):
+    L, pi = log_poisson_complex(P, B), two_form_cochain(P, B)
+    return L, lambda a, b: extension_bracket(P, L, pi, a, b)
+
+
 def test_extension_bracket_examples():
     P, B = setup_x()
+    _, br = _extension(P, B)
     e0 = OneForm.basis_element(2, 2, 0)
     e1 = OneForm.basis_element(2, 2, 1)
     zero = Poly.zero(2)
 
-    scalar, rest = extension_bracket(P, B, (zero, e0), (zero, e1))
+    scalar, rest = br((zero, e0), (zero, e1))
     assert scalar == p2("1") and rest.is_zero()
 
     a, b = p2("x^2 + y"), p2("x*y")
-    scalar, rest = extension_bracket(
-        P, B, (a, OneForm.zero(2, 2)), (b, OneForm.zero(2, 2))
-    )
+    scalar, rest = br((a, OneForm.zero(2, 2)), (b, OneForm.zero(2, 2)))
     assert scalar == P.bracket(a, b) and rest.is_zero()
 
-    scalar, rest = extension_bracket(P, B, (Poly.const(2, 1), OneForm.zero(2, 2)),
-                                     (zero, e1.scale(p2("y^2"))))
+    scalar, rest = br((Poly.const(2, 1), OneForm.zero(2, 2)),
+                      (zero, e1.scale(p2("y^2"))))
     assert scalar.is_zero() and rest.is_zero()
 
 
-def _jacobi_sum(P, B, u, v, w):
-    def br(a, b):
-        return extension_bracket(P, B, a, b)
-
+def _jacobi_sum(br, u, v, w):
     def add(a, b):
         return (a[0] + b[0], a[1] + b[1])
 
@@ -170,10 +189,11 @@ def test_extension_bracket_jacobi_pure_forms(rng):
     # with zero scalar parts the cyclic sum reduces to closedness of the
     # induced two-form, so it must vanish for arbitrary coefficients
     for P, B in worked_structures():
+        L, br = _extension(P, B)
         zero = Poly.zero(B.n)
         for _ in range(12):
-            trip = [(zero, random_one_form(rng, B, 2)) for _ in range(3)]
-            total = _jacobi_sum(P, B, *trip)
+            trip = [(zero, random_one_form(rng, L, 2)) for _ in range(3)]
+            total = _jacobi_sum(br, *trip)
             assert total[0].is_zero() and total[1].is_zero()
 
 
@@ -181,10 +201,11 @@ def test_extension_bracket_jacobi_pure_scalars(rng):
     # the scalar part embeds the Poisson algebra, so Jacobi there is the
     # Poisson Jacobi identity
     for P, B in worked_structures():
+        _, br = _extension(P, B)
         zf = OneForm.zero(B.n, B.n)
         for _ in range(12):
             trip = [(random_poly(rng, B.n, 3, max_terms=3), zf) for _ in range(3)]
-            total = _jacobi_sum(P, B, *trip)
+            total = _jacobi_sum(br, *trip)
             assert total[0].is_zero() and total[1].is_zero()
 
 
@@ -196,15 +217,15 @@ def test_extension_bracket_jacobi_fails_on_mixed_inputs():
     u = (p2("x"), OneForm.zero(2, 2))
     v = (p2("y"), OneForm.zero(2, 2))
     w = (Poly.zero(2), OneForm((p2("y"), Poly.zero(2))))
-    total = _jacobi_sum(P, B, u, v, w)
+    total = _jacobi_sum(_extension(P, B)[1], u, v, w)
     assert total[0] == p2("-x")
     assert total[1].is_zero()
 
 
 def test_two_form_matches_pair_scalar():
-    P2, B2 = setup_x2()
+    pi = two_form_cochain(*setup_x2())
     e0 = OneForm.basis_element(2, 2, 0)
     e1 = OneForm.basis_element(2, 2, 1)
-    assert two_form_value(P2, B2, e0, e1) == p2("x")
-    assert two_form_value(P2, B2, e1, e0) == p2("-x")
-    assert two_form_value(P2, B2, e0, e0).is_zero()
+    assert two_form_value(pi, e0, e1) == p2("x")
+    assert two_form_value(pi, e1, e0) == p2("-x")
+    assert two_form_value(pi, e0, e0).is_zero()
