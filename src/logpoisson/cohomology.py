@@ -169,16 +169,16 @@ class Stencil:
     """The differential on k-cochains, compiled for monomial basis cochains.
 
     The differential is first order in the coefficient of a cochain:
-    d(f e_T)_U = sum_j a_{U,j} df/dx_j + b_U f.  Both parts are read off
-    the generic engine, b = d(1 e_T) and a_{., j} = d(x_j e_T) - x_j b,
-    so nothing is written out by hand.  A term (j, U, shifts) stores, for
-    each monomial of a_{U,j} (j None: of b_U), the exponent shift it
-    applies to the source monomial with its coefficient.  The
-    coefficients of T are cleared of denominators by one common multiple,
-    scale[T], so columns have integer entries.  max_shift is the largest
-    degree shift of a term.  reach bounds the sources whose image meets
-    F_d by degree d + reach (module docstring); it is None when the terms
-    admit no grading, and 0 when there are none.
+    d(f e_T)_U = sum_j a_{U,j} df/dx_j + b_U f, with b = d(1 e_T) from the
+    generic engine and a_{U,j} = (-1)^pos anchors[i].coeffs[j] for each
+    (i, U, pos) of data.anchor_targets(T), where d puts anchor i.  A term
+    (j, U, shifts) stores, for each monomial of a_{U,j} (j None: of b_U),
+    the exponent shift it applies to the source monomial with its
+    coefficient.  The coefficients of T are cleared of denominators by one
+    common multiple, scale[T], so columns have integer entries.  max_shift
+    is the largest degree shift of a term.  reach bounds the sources whose
+    image meets F_d by degree d + reach (module docstring); it is None
+    when the terms admit no grading, and 0 when there are none.
     """
 
     def __init__(self, data: LieRinehartData, k: int):
@@ -189,13 +189,10 @@ class Stencil:
         for tup in combinations(range(data.r), k):
             b = differential(data, Cochain(k, data.r, n, {tup: one}))
             parts = [(None, target, poly) for target, poly in b.comps.items()]
-            for j in range(n):
-                xj = Poly.variable(n, j)
-                dxj = differential(data, Cochain(k, data.r, n, {tup: xj}))
-                for target in sorted(set(dxj.comps) | set(b.comps)):
-                    a = dxj.component(target) - xj * b.component(target)
-                    if a:
-                        parts.append((j, target, a))
+            for i, target, pos in data.anchor_targets(tup):
+                for j, c in enumerate(data.anchors[i].coeffs):
+                    if c:
+                        parts.append((j, target, -c if pos % 2 else c))
             scale = lcm(*(c.denominator for _, _, poly in parts
                           for c in poly.terms.values()))
             self.terms[tup] = [(j, target, _shifts(poly, j, scale))

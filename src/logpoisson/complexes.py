@@ -66,6 +66,16 @@ class LieRinehartData:
                     shift = max(shift, c.degree())
         return shift
 
+    def anchor_targets(self, tup: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+        """(i, U, pos) for each index i not in tup, with U = tup + {i}
+        and i at position pos of U: d puts (-1)^pos anchor i there."""
+        out = []
+        for i in range(self.r):
+            if i not in tup:
+                pos = bisect(tup, i)
+                out.append((i, tup[:pos] + (i,) + tup[pos:], pos))
+        return out
+
     def anchor(self, alpha: OneForm) -> Derivation:
         """sum_i alpha_i anchors[i]."""
         total = [_trusted(self.nvars, {})] * self.nvars
@@ -186,12 +196,10 @@ def differential(data: LieRinehartData, cochain: Cochain) -> Cochain:
             out[target] = have - term if power % 2 else have + term
 
     for tup, f in cochain.comps.items():
-        for i, anchor in enumerate(data.anchors):
-            if i not in tup:
-                term = anchor.apply(f)
-                if term:
-                    pos = bisect(tup, i)
-                    add(tup[:pos] + (i,) + tup[pos:], pos, term)
+        for i, target, pos in data.anchor_targets(tup):
+            term = data.anchors[i].apply(f)
+            if term:
+                add(target, pos, term)
         for q, l in enumerate(tup):
             rest = tup[:q] + tup[q + 1:]
             for (a, b), vec in data.sc.items():

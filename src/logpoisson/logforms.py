@@ -86,12 +86,6 @@ class OneForm:
     def zero(cls, n: int, nvars: int) -> "OneForm":
         return cls(tuple(Poly.zero(nvars) for _ in range(n)))
 
-    @classmethod
-    def basis_element(cls, n: int, nvars: int, i: int) -> "OneForm":
-        return cls(tuple(
-            Poly.const(nvars, 1) if j == i else Poly.zero(nvars) for j in range(n)
-        ))
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 

@@ -111,9 +111,6 @@ class PoissonStructure:
                         bad.append((i, j, k))
         return bad
 
-    def is_jacobi(self) -> bool:
-        return not self.jacobi_failures()
-
 
 def normalize_squarefree(u: Poly) -> Optional[int]:
     """Index j when u = c * x_j^m (c rational, m >= 1), else None.

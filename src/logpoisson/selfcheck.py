@@ -19,7 +19,7 @@ d(d(c)) = 0, which the first suite would flag.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable
 
@@ -34,7 +34,7 @@ from .complexes import (
 )
 from .logforms import LogBasis, OneForm
 from .poisson import LogDivisorSpec, PoissonStructure
-from .poly import Poly, monomials_of_degree, parse_poly
+from .poly import Poly, format_poly, monomials_of_degree, parse_poly
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -92,6 +92,7 @@ def _mutate_sc(data: LieRinehartData) -> LieRinehartData:
 
 
 def _all_complexes(mutate: bool = False) -> list[LieRinehartData]:
+    # each named with its bracket and divisor, for failure details
     out = []
     for P, B in worked_structures():
         log = log_poisson_complex(P, B)
@@ -100,7 +101,11 @@ def _all_complexes(mutate: bool = False) -> list[LieRinehartData]:
             log = _mutate_sc(log)
         elif mutate and poi.sc:
             poi = _mutate_sc(poi)
-        out.extend([log, poi, log_derham_complex(B)])
+        bracket = ", ".join(f"{{{P.names[i]},{P.names[j]}}} = {format_poly(p, P.names)}"
+                            for (i, j), p in P.table.items())
+        divisor = ", ".join(P.names[f.index] for f in B.forms if f.is_log)
+        out.extend(replace(data, name=f"{data.name} of {bracket} along {divisor}")
+                   for data in (log, poi, log_derham_complex(B)))
     return out
 
 
