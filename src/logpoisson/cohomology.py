@@ -24,6 +24,13 @@ clamps each image limit L to min(L, D + reach), D being the target's
 degree in a search; pivots of degree <= D, tables, flags and witnesses
 are the same as without the clamp.
 
+A table also skips known cocycles.  A row of the d^(k-1) echelon with
+pivot q lies in im d^(k-1), inside ker d^k, and its other keys are below
+q.  Columns are fed in ascending key order, so d^k(e_q) is in the span of
+earlier columns when e_q comes and would store no row.  So the d^k pass
+counts the sources at those pivots but does not feed them; rows, kernels,
+images and flags stay the same, also for the pivots of a clamped pass.
+
 All elimination is exact and fraction-free.  A coordinate (degree,
 component tuple, monomial) of the sliced cochain space is packed into one
 ordered int (see Coordinates) whose order is the tuple order, so it is
@@ -40,7 +47,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .complexes import Cochain, LieRinehartData, differential
 from .poly import Poly, monomials_of_degree
@@ -53,9 +60,11 @@ Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 # bounds memory, not time: {x,y} = x(1+xy+y^2) along x at max_degree 150
 # needs 24,492 basis 1-cochains, well inside it, and its H^2 table took
 # 155 s, since on ungraded input elimination grows far faster than the
-# column count (ROADMAP item 3).  The limit is checked on the window's
-# own source degrees; the one elimination pass then takes a graded d^k
-# only up to D + reach (module docstring).
+# column count (ROADMAP item 3).  That H^2 table has no d^0 pass whose
+# pivots d^1 could skip; the full table takes 0.06 s at max_degree 60.
+# The limit is checked on the window's own source degrees; the one
+# elimination pass then takes a graded d^k only up to D + reach (module
+# docstring).
 MAX_BASIS_SIZE = 100_000
 
 
@@ -339,6 +348,7 @@ class Echelon:
 
 def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
                    image_limits: Sequence[int] = (), target_degree: Optional[int] = None,
+                   coords: Optional[Coordinates] = None, cocycles: Collection[int] = (),
                    ) -> tuple[list[int], list[list[int]], Echelon, Coordinates]:
     """The one elimination of d^k, its columns fed in degree order.
 
@@ -351,13 +361,21 @@ def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
     Given target_degree, the base also holds keys of that degree and the
     column of source s carries the bookkeeping coordinate -2 - s with
     value scale[T], recording which combination of sources a row is.
+    Given coords, the pass packs in them; their base must hold every
+    source and target.  Sources at the keys in cocycles, pivots of the
+    d^(k-1) pass in the same coords, are counted but not fed: their
+    columns would store no row (module docstring).
     """
     stencil = Stencil(data, k)
     if stencil.reach is not None:
         # graded: sources above max_degree + reach add nothing to im meet F_max_degree
         image_limits = [min(limit, max_degree + stencil.reach) for limit in image_limits]
     top = max((max_degree, *image_limits))
-    coords = Coordinates(data, max(top + max(stencil.max_shift, 0), target_degree or 0) + 1)
+    base = max(top + max(stencil.max_shift, 0), target_degree or 0) + 1
+    if coords is None:
+        coords = Coordinates(data, base)
+    elif coords.base < base:
+        raise ValueError(f"coordinates of base {coords.base} cannot hold degree {base - 1}")
     column = stencil.compile(coords)
     ech = Echelon()
     pivots = [0] * (max_degree + 1)
@@ -367,6 +385,8 @@ def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
     for d in range(top + 1):
         for src, tup, mono in coords.keys(k, d):
             sources += 1
+            if src in cocycles:
+                continue
             vec = column(src, tup, mono)
             if target_degree is not None:
                 vec[-2 - src] = stencil.scale[tup]
@@ -443,9 +463,19 @@ def compute_table(data: LieRinehartData, ks: Iterable[int],
     # every basis is counted before any is built
     for j, image_limits in plan.items():
         basis_size(data, j, max((D, *image_limits)))
-    # only the counts are kept, so no echelon outlives its pass
-    passes = {j: _filtered_pass(data, j, D, image_limits)[:2]
-              for j, image_limits in plan.items()}
+    # one base for every pass, since degree_shift bounds each stencil's
+    # max_shift: the pivot keys of d^j are source keys of d^(j+1) as they
+    # stand.  Only the counts and the pivot keys pass forward, so no
+    # echelon outlives its pass.
+    coords = Coordinates(data, D + buffer + 2 + data.degree_shift())
+    passes = {}
+    cocycles: set[int] = set()
+    for j, image_limits in plan.items():
+        kernel, images, ech, _ = _filtered_pass(data, j, D, image_limits,
+                                                coords=coords, cocycles=cocycles)
+        passes[j] = kernel, images
+        cocycles = set(ech.rows) if j + 1 in plan else set()
+        del ech
     no_image = [0] * (D + 1)
     rows = {}
     for k in ks:

@@ -438,28 +438,123 @@ def graded_complexes():
     yield from worked_complexes()
 
 
+def mixed_complexes():
+    # brackets of mixed degree: no grading, so no clamp
+    x = Poly.variable(2, 0)
+    P = PoissonStructure(XY, {(0, 1): x * p2("1 + x*y + y^2")})
+    yield poisson_complex(jacobian_structure(p3("x^2 + y^3 + x*y*z")))
+    yield poisson_complex(jacobian_structure(p3("2*x^2 - y^2 + z^3 - 3*x*y*z")))
+    yield from list(generated_complexes(P, [x]))[:2]
+
+
+def assert_table_equals_the_reference(L, buffers):
+    D = 4 if L.nvars == 2 else 3
+    for buffer in buffers:
+        table = compute_table(L, range(L.r + 1), SliceWindow(D, buffer))
+        passes = [unclamped_pass(L, k, D, D + buffer + 1) for k in range(L.r + 1)]
+        for k in range(L.r + 1):
+            image, wider = [passes[k - 1][1][D + b] for b in (buffer, buffer + 1)] \
+                if k else ([0] * (D + 1),) * 2
+            assert table.rows[k] == _degree_rows(passes[k][0], image, wider), \
+                (L.name, k, buffer)
+
+
 def test_tables_equal_the_unclamped_reference_on_graded_input():
     for L in graded_complexes():
         assert all(Stencil(L, k).reach is not None for k in range(L.r + 1)), L.name
-        D = 4 if L.nvars == 2 else 3
-        for buffer in (0, 1, 4):
-            table = compute_table(L, range(L.r + 1), SliceWindow(D, buffer))
-            passes = [unclamped_pass(L, k, D, D + buffer + 1) for k in range(L.r + 1)]
-            for k in range(L.r + 1):
-                image, wider = [passes[k - 1][1][D + b] for b in (buffer, buffer + 1)] \
-                    if k else ([0] * (D + 1),) * 2
-                assert table.rows[k] == _degree_rows(passes[k][0], image, wider), \
-                    (L.name, k, buffer)
+        assert_table_equals_the_reference(L, (0, 1, 4))
+
+
+def test_tables_equal_the_all_columns_reference_on_mixed_input():
+    # the reference feeds every column, so it skips no cocycle
+    for L in mixed_complexes():
+        assert_table_equals_the_reference(L, (0, 1, 3))
 
 
 def test_reach_is_none_on_mixed_degree_brackets():
     # the log de Rham complex does not see the bracket, so it stays graded
+    for L in mixed_complexes():
+        assert [Stencil(L, k).reach for k in range(L.r + 1)] == [None] * L.r + [0], L.name
+
+
+# -- skipping known cocycles ---------------------------------------------------
+
+
+def test_skipping_known_cocycles_changes_no_row():
+    # the pivots of d^(k-1) are cocycles of d^k whose columns reduce to zero
+    skipped = 0
+    for L in [*graded_complexes(), *mixed_complexes()]:
+        D = 4 if L.nvars == 2 else 3
+        limits = (D + 1, D + 2)
+        coords = Coordinates(L, D + 3 + L.degree_shift())
+        for k in range(1, L.r + 1):
+            pivots = set(_filtered_pass(L, k - 1, D, limits, coords=coords)[2].rows)
+            # the last pass of a table takes sources only up to D
+            for own_limits in (limits, ()):
+                kernel, images, ech, _ = _filtered_pass(L, k, D, own_limits, coords=coords)
+                skip = _filtered_pass(L, k, D, own_limits, coords=coords, cocycles=pivots)
+                assert (skip[0], skip[1]) == (kernel, images), (L.name, k, own_limits)
+                assert skip[2].rows == ech.rows, (L.name, k, own_limits)
+            skipped += len(pivots)
+    assert skipped
+    with pytest.raises(ValueError, match="cannot hold"):
+        _filtered_pass(L, 1, D, limits, coords=Coordinates(L, D + 2))
+
+
+def test_tables_of_any_ks_are_rows_of_the_full_table():
+    # a pass hands its pivots only to the pass of the next cochain degree
+    for L in [*worked_complexes(), *mixed_complexes()]:
+        window = SliceWindow(3, 1)
+        full = compute_table(L, range(L.r + 1), window)
+        for size in range(1, L.r + 1):
+            for ks in combinations(range(L.r + 1), size):
+                table = compute_table(L, ks, window)
+                assert table.rows == {k: full.rows[k] for k in ks}, (L.name, ks)
+
+
+def test_a_table_pass_skips_the_pivots_of_the_pass_before(monkeypatch):
+    # one frame for every pass, so the keys mean the same cochains
+    calls = []
+    original = cohomology._filtered_pass
+
+    def recorded(data, k, *args, **kwargs):
+        out = original(data, k, *args, **kwargs)
+        calls.append((k, set(kwargs["cocycles"]), set(out[2].rows), out[3]))
+        return out
+
+    monkeypatch.setattr(cohomology, "_filtered_pass", recorded)
+    for L in [*worked_complexes(), *mixed_complexes()]:
+        for ks in ([L.r], [0, L.r], range(L.r + 1)):
+            calls.clear()
+            compute_table(L, ks, SliceWindow(3, 1))
+            assert calls[0][1] == set()
+            for (j, _, rows, coords), (k, cocycles, _, frame) in zip(calls, calls[1:]):
+                assert frame is coords, (L.name, ks, k)
+                assert cocycles == (rows if k == j + 1 else set()), (L.name, ks, k)
+
+
+def test_full_table_feeds_almost_no_column_that_reduces_to_zero(monkeypatch):
+    # Without the skip, this table's 3,242 inserts include 992 columns that
+    # reduce to zero.  Now such a column is a cocycle of d^k outside the
+    # pivots of d^(k-1), so it adds to H^k at the pass's source degrees.
+    # d^0 has only the constants, whose columns are empty and never
+    # inserted, and d^2 has no targets, so what is left is H^1: its two
+    # classes, both of degree 2 (the table's row k=1).
     x = Poly.variable(2, 0)
     P = PoissonStructure(XY, {(0, 1): x * p2("1 + x*y + y^2")})
-    mixed = [poisson_complex(jacobian_structure(p3("x^2 + y^3 + x*y*z"))),
-             *list(generated_complexes(P, [x]))[:2]]
-    for L in mixed:
-        assert [Stencil(L, k).reach for k in range(L.r + 1)] == [None] * L.r + [0], L.name
+    L = list(generated_complexes(P, [x]))[1]
+    zero = []
+    original = cohomology.Echelon.insert
+
+    def counted(self, vec):
+        piv = original(self, vec)
+        zero.append(piv is None)
+        return piv
+
+    monkeypatch.setattr(cohomology.Echelon, "insert", counted)
+    table = compute_table(L, [0, 1, 2], SliceWindow(40))
+    assert table.cumulative(1) == 2
+    assert sum(zero) <= 2
 
 
 def test_find_primitive_finds_every_image_on_graded_input():
