@@ -34,12 +34,9 @@ from .logforms import (
     LogBasis,
     LogSymplecticReport,
     OneForm,
-    express_d,
-    log_hamiltonian_basis,
     log_hamiltonian_matrix,
     log_symplectic_test,
     pair_scalar,
-    structure_constants,
 )
 from .complexes import (
     Cochain,
@@ -86,13 +83,11 @@ __all__ = [
     "compare_tables",
     "compute_table",
     "differential",
-    "express_d",
     "extension_bracket",
     "find_primitive",
     "format_poly",
     "is_log_principal",
     "log_derham_complex",
-    "log_hamiltonian_basis",
     "log_hamiltonian_cochain_map",
     "log_hamiltonian_matrix",
     "log_poisson_complex",
@@ -102,7 +97,6 @@ __all__ = [
     "pair_scalar",
     "parse_poly",
     "poisson_complex",
-    "structure_constants",
     "two_form_cochain",
     "two_form_value",
 ]

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from .cohomology import (
@@ -426,7 +427,10 @@ def _emit(doc: dict, fmt: str, render) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True) if fmt == "json" else render(doc))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: parsing
+    keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="logpoisson",
         description="checks, cohomology tables and prequantization for"

@@ -62,9 +62,10 @@ Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 # 155 s, since on ungraded input elimination grows far faster than the
 # column count (ROADMAP item 3).  That H^2 table has no d^0 pass whose
 # pivots d^1 could skip; the full table takes 0.06 s at max_degree 60.
-# The limit is checked on the window's own source degrees; the one
-# elimination pass then takes a graded d^k only up to D + reach (module
-# docstring).
+# The limit is checked on the sources each pass takes, before any basis
+# is built: up to D + buffer + 1, or on graded input D + reach (module
+# docstring), so a graded window is not refused for sources it never
+# builds.
 MAX_BASIS_SIZE = 100_000
 
 
@@ -211,6 +212,13 @@ class Stencil:
                               for _, _, shifts in terms for shift, _ in shifts), default=0)
         self.reach = _reach(self.terms, k)
 
+    def clamp(self, max_degree: int, limits: Sequence[int]) -> list[int]:
+        """The source limits a pass takes: graded, sources above
+        max_degree + reach add nothing to im meet F_max_degree."""
+        if self.reach is None:
+            return list(limits)
+        return [min(limit, max_degree + self.reach) for limit in limits]
+
     def compile(self, coords: Coordinates) -> Column:
         """The column of scale[T] * d(x^m e_T) for a basis key of coords,
         each term one offset from the source key.  coords must hold the
@@ -349,6 +357,7 @@ class Echelon:
 def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
                    image_limits: Sequence[int] = (), target_degree: Optional[int] = None,
                    coords: Optional[Coordinates] = None, cocycles: Collection[int] = (),
+                   stencil: Optional[Stencil] = None,
                    ) -> tuple[list[int], list[list[int]], Echelon, Coordinates]:
     """The one elimination of d^k, its columns fed in degree order.
 
@@ -364,12 +373,12 @@ def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
     Given coords, the pass packs in them; their base must hold every
     source and target.  Sources at the keys in cocycles, pivots of the
     d^(k-1) pass in the same coords, are counted but not fed: their
-    columns would store no row (module docstring).
+    columns would store no row (module docstring).  stencil, when given,
+    is Stencil(data, k), built already to count the sources.
     """
-    stencil = Stencil(data, k)
-    if stencil.reach is not None:
-        # graded: sources above max_degree + reach add nothing to im meet F_max_degree
-        image_limits = [min(limit, max_degree + stencil.reach) for limit in image_limits]
+    if stencil is None:
+        stencil = Stencil(data, k)
+    image_limits = stencil.clamp(max_degree, image_limits)
     top = max((max_degree, *image_limits))
     base = max(top + max(stencil.max_shift, 0), target_degree or 0) + 1
     if coords is None:
@@ -460,9 +469,10 @@ def compute_table(data: LieRinehartData, ks: Iterable[int],
     limits = (D + buffer, D + buffer + 1)
     plan = {j: limits if j + 1 in ks else ()
             for j in sorted(set(ks) | {k - 1 for k in ks if k})}
-    # every basis is counted before any is built
+    # every basis is counted before any is built, up to the limits its pass takes
+    stencils = {j: Stencil(data, j) for j in plan}
     for j, image_limits in plan.items():
-        basis_size(data, j, max((D, *image_limits)))
+        basis_size(data, j, max((D, *stencils[j].clamp(D, image_limits))))
     # one base for every pass, since degree_shift bounds each stencil's
     # max_shift: the pivot keys of d^j are source keys of d^(j+1) as they
     # stand.  Only the counts and the pivot keys pass forward, so no
@@ -471,8 +481,8 @@ def compute_table(data: LieRinehartData, ks: Iterable[int],
     passes = {}
     cocycles: set[int] = set()
     for j, image_limits in plan.items():
-        kernel, images, ech, _ = _filtered_pass(data, j, D, image_limits,
-                                                coords=coords, cocycles=cocycles)
+        kernel, images, ech, _ = _filtered_pass(data, j, D, image_limits, coords=coords,
+                                                cocycles=cocycles, stencil=stencils[j])
         passes[j] = kernel, images
         cocycles = set(ech.rows) if j + 1 in plan else set()
         del ech
@@ -525,11 +535,15 @@ def find_primitive(data: LieRinehartData, cochain: Cochain,
     if cochain.is_zero():
         return Cochain.zero(k - 1, data.r, data.nvars)
     top = window.max_degree + window.resolve_buffer(data)
-    basis_size(data, k - 1, top)
     terms = [(tup, mono, c) for tup, poly in cochain.comps.items()
              for mono, c in poly.terms.items()]
     degree = max(sum(mono) for _, mono, _ in terms)
-    *_, ech, coords = _filtered_pass(data, k - 1, min(degree, top), [top], degree)
+    pass_degree = min(degree, top)
+    stencil = Stencil(data, k - 1)
+    # the pass takes sources up to its clamped limit, at least pass_degree;
+    # the window's own degree is counted too, as in compute_table
+    basis_size(data, k - 1, max((window.max_degree, *stencil.clamp(pass_degree, [top]))))
+    *_, ech, coords = _filtered_pass(data, k - 1, pass_degree, [top], degree, stencil=stencil)
     # the target, cleared of denominators, with the marker -1 for its multiple
     clear = lcm(*(c.denominator for *_, c in terms))
     target = {coords.pack((sum(mono), tup, mono)): c.numerator * (clear // c.denominator)

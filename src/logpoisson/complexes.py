@@ -1,12 +1,13 @@
 """Cochain complexes of Lie-Rinehart type, driven by anchors and
 structure constants.
 
-One generic differential serves the three complexes in play: the
-logarithmic Poisson complex on the logarithmic basis, the Poisson
-complex (the same construction on exact one-forms, every weight 1), and
-the logarithmic de Rham complex (whose anchors are the dual fields of
-the basis and whose structure constants vanish).  Components of a
-k-cochain are indexed by strictly increasing k-tuples of basis indices.
+One generic differential serves the three complexes in play.  The
+logarithmic de Rham complex is the frame: its anchors are the dual
+fields of the basis and its structure constants vanish.  The
+logarithmic Poisson complex is read off the frame and the bivector pi
+(two_form_cochain), and the Poisson complex is the same construction on
+exact one-forms, every weight 1.  Components of a k-cochain are indexed
+by strictly increasing k-tuples of basis indices.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Optional, Union
 
-from .logforms import (
-    LogBasis,
-    OneForm,
-    log_hamiltonian_basis,
-    log_hamiltonian_matrix,
-    pair_scalar,
-    poly_det,
-    structure_constants,
-)
+from .logforms import LogBasis, OneForm, log_hamiltonian_matrix, pair_scalar, poly_det
 from .poisson import Derivation, PoissonStructure
 from .poly import Poly, Scalar, _trusted
 
@@ -223,13 +216,22 @@ def poisson_complex(structure: PoissonStructure) -> LieRinehartData:
 
 
 def log_poisson_complex(structure: PoissonStructure, basis: LogBasis) -> LieRinehartData:
-    """Complex on the logarithmic basis: anchors through the logarithmic
-    Hamiltonian map, brackets from the pairwise scalars."""
-    n = structure.n
-    anchors = tuple(log_hamiltonian_basis(structure, f) for f in basis.forms)
+    """Complex on the logarithmic basis: the cotangent Lie-Rinehart
+    algebra of pi = two_form_cochain over the frame log_derham_complex
+    (Huebschmann 1990).  Anchor j is the frame's anchor of row j of pi,
+    sum_l pi(j, l) rho_l, and the bracket of basis forms i and j is the
+    frame's differential of pi(i, j), with coefficient rho_l(pi(i, j))
+    on form l."""
+    frame = log_derham_complex(basis)
+    pi = two_form_cochain(structure, basis)
+    n = frame.r
+    rows = [[_trusted(n, {})] * n for _ in range(n)]
+    for (i, j), p in pi.comps.items():
+        rows[i][j], rows[j][i] = p, -p
+    anchors = tuple(frame.anchor(OneForm(tuple(row))) for row in rows)
     sc = {}
-    for pair in combinations(range(n), 2):
-        vec = structure_constants(structure, basis, *pair).coeffs
+    for pair, p in pi.comps.items():
+        vec = tuple(rho.apply(p) for rho in frame.anchors)
         if any(vec):
             sc[pair] = vec
     return LieRinehartData(n, n, anchors, sc, name="log-poisson")

@@ -4,12 +4,14 @@ With every divisor generator normalized to a single variable, the module
 of logarithmic differentials is free with one basis form per ambient
 variable.  Each basis form is dx_j/h_j for a weight h_j: h_j = x_j where
 x_j carries a divisor and h_j = 1 elsewhere.  Its dual vector field is
-h_j d/dx_j, so the coefficient of d f on the form is h_j df/dx_j, and
-every bracket of basis forms is a generator bracket divided by weights.
+h_j d/dx_j, so the coefficient of d f on the form is h_j df/dx_j.  The
+bracket meets the weights in one place, pair_scalar: {x_i, x_j} over
+h_i h_j is the value pi(i, j) of the induced bivector on the basis pair.
 The Poisson complex is the case where every weight is 1.  A one-form is
-then just a coefficient vector, and the anchors, structure constants and
-nondegeneracy test all become exact polynomial computations; the complex
-built from them (complexes.LieRinehartData) extends both to one-forms.
+then just a coefficient vector, and the log Poisson data (anchors and
+structure constants, complexes.log_poisson_complex) is read off pi and
+the frame of dual fields; the nondegeneracy test is the determinant of
+the matrix of pi.
 """
 
 from __future__ import annotations
@@ -113,22 +115,6 @@ def _divide(poly: Poly, weight: Poly, what: str) -> Poly:
     return q
 
 
-def log_hamiltonian_basis(structure: PoissonStructure, form: BasisForm) -> Derivation:
-    """Image of a basis form: the Hamiltonian derivation of x_j, with
-    coefficients {x_j, x_l}, divided by the form's weight."""
-    weight = form.weight(structure.n)
-    return Derivation(tuple(
-        _divide(structure.entry(form.index, l), weight, "log Hamiltonian")
-        for l in range(structure.n)
-    ))
-
-
-def express_d(basis: LogBasis, f: Poly) -> OneForm:
-    """The differential of f expanded in the basis: the coefficient of
-    each form is its dual field applied to f."""
-    return OneForm(tuple(form.dual_field(f.nvars).apply(f) for form in basis.forms))
-
-
 def pair_scalar(structure: PoissonStructure, basis: LogBasis, i: int, j: int) -> Poly:
     """{x_i, x_j} divided by the weights of basis forms i and j.
 
@@ -141,11 +127,6 @@ def pair_scalar(structure: PoissonStructure, basis: LogBasis, i: int, j: int) ->
         return value
     weight = basis.forms[i].weight(structure.n) * basis.forms[j].weight(structure.n)
     return _divide(value, weight, "basis bracket")
-
-
-def structure_constants(structure: PoissonStructure, basis: LogBasis, i: int, j: int) -> OneForm:
-    """The bracket of basis forms i and j, as a one-form."""
-    return express_d(basis, pair_scalar(structure, basis, i, j))
 
 
 def log_hamiltonian_matrix(structure: PoissonStructure, basis: LogBasis) -> list[list[Poly]]:

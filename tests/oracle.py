@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from logpoisson.complexes import Cochain
-from logpoisson.logforms import express_d
 from logpoisson.poisson import Derivation
 from logpoisson.poly import Poly, monomials_of_degree, parse_poly
 
@@ -271,16 +270,21 @@ def ex3_poisson_top(tup, poly):
 
 def log_derham_differential(basis, cochain):
     """Exterior derivative computed directly: d(f e_T) is the wedge of
-    the expanded differential of f with e_T.  Agrees with the generic
+    df with e_T, where df has coefficient h_l df/dx_l on basis form l
+    (h_l = x_l on a log form, 1 elsewhere).  Agrees with the generic
     engine on log_derham_complex; basis forms are closed."""
     n = basis.n
     if cochain.k >= n:
         return Cochain.zero(n, n, cochain.nvars)
     out = {}
     for tup, f in cochain.comps.items():
-        df = express_d(basis, f)
-        for l, g in enumerate(df.coeffs):
-            if g.is_zero() or l in tup:
+        for l in range(n):
+            if l in tup:
+                continue
+            g = f.partial(l)
+            if basis.forms[l].is_log:
+                g = Poly.variable(n, l) * g
+            if g.is_zero():
                 continue
             pos = sum(1 for t in tup if t < l)
             key = tuple(sorted((l,) + tup))
@@ -376,7 +380,7 @@ def poisson_anchors(structure):
                  for j in range(structure.n))
 
 
-def poisson_structure_constants(structure):
+def poisson_sc(structure):
     """[dx_i, dx_j] = d{x_i, x_j}: the partials of each nonzero bracket."""
     n = structure.n
     sc = {}
@@ -397,7 +401,7 @@ def log_anchors(structure, logvars):
     return tuple(out)
 
 
-def log_structure_constants(structure, logvars):
+def log_sc(structure, logvars):
     """[e_i, e_j] = d({x_i, x_j} / divisor variables among i, j), with the
     coefficient of dx_l/x_l equal to x_l times the partial along x_l."""
     n = structure.n

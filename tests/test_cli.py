@@ -195,6 +195,19 @@ def test_compare_command(tmp_path):
     assert min(m["degree"] for m in pair["mismatches"]) == 3
 
 
+def test_the_one_parser_keeps_no_state_between_calls(tmp_path):
+    # main reuses one parser per process, so the --complex values of one
+    # call must not reach the next
+    code, out = run_main(["compare", "--complex", "poisson", "--complex", "log-poisson",
+                          "--k", "0", "--format", "json"], EX1, tmp_path)
+    assert code == cli.EXIT_OK and len(json.loads(out)["pairs"]) == 1
+    code, out = run_main(["compare", "--k", "0", "--format", "json"], EX1, tmp_path)
+    assert code == cli.EXIT_OK
+    assert [(p["first"], p["second"]) for p in json.loads(out)["pairs"]] == [
+        ("poisson", "log-poisson"), ("poisson", "log-derham"), ("log-poisson", "log-derham")]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_prequantize_command(tmp_path):
     code, out = run_main(["prequantize", "--format", "json"], EX1, tmp_path)
     assert code == cli.EXIT_OK
@@ -361,6 +374,18 @@ def test_window_past_the_basis_limit_is_rejected(tmp_path, command):
     assert code == cli.EXIT_PARSE_ERROR
     assert out == ""
     assert f"the limit is {MAX_BASIS_SIZE}" in err
+
+
+def test_a_graded_window_counts_only_the_sources_its_passes_build():
+    # a buffer of 400 asks for 168,510 basis 1-cochains of degree <= 409,
+    # but {x,y} = x is graded and every pass stops at D + reach
+    path = str(ROOT / "demos" / "inputs" / "bracket_x.json")
+    code, wide = run_main(["cohomology", "--input", path, "--buffer", "400", "--format", "json"])
+    assert code == cli.EXIT_OK
+    code, default = run_main(["cohomology", "--input", path, "--format", "json"])
+    assert code == cli.EXIT_OK
+    wide, default = json.loads(wide)["cohomology"], json.loads(default)["cohomology"]
+    assert [row["dims"] for row in wide] == [row["dims"] for row in default]
 
 
 @pytest.mark.parametrize("doc, field", [

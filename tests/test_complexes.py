@@ -26,8 +26,9 @@ from logpoisson.complexes import (
     log_poisson_complex,
     poisson_complex,
     two_form_cochain,
+    two_form_value,
 )
-from logpoisson.logforms import DivisionObstruction, LogBasis, log_hamiltonian_matrix
+from logpoisson.logforms import DivisionObstruction, LogBasis, OneForm, log_hamiltonian_matrix
 from logpoisson.poisson import Derivation, LogDivisorSpec, PoissonStructure, is_log_principal
 from logpoisson.poly import Poly, monomials_of_degree
 from logpoisson.selfcheck import (
@@ -86,6 +87,29 @@ def test_poisson_complex_data():
     assert L3.sc == {(1, 2): (p3("y*z"), p3("x*z"), p3("x*y"))}
 
 
+def test_log_poisson_data_is_the_cotangent_algebroid_of_pi(rng):
+    # with d the frame's differential on 0-cochains: anchor j maps f to
+    # pi(e_j, df), and the closed basis forms bracket to d(pi(e_i, e_j))
+    def d(frame, f):
+        df = differential(frame, Cochain(0, frame.r, frame.nvars, {(): f}))
+        return OneForm(tuple(df.component((l,)) for l in range(frame.r)))
+
+    for P, B in worked_structures():
+        n = P.n
+        units = [OneForm(tuple(Poly.const(n, int(l == j)) for l in range(n)))
+                 for j in range(n)]
+        for basis in (B, LogBasis.all_exact(n)):
+            frame, pi = log_derham_complex(basis), two_form_cochain(P, basis)
+            L = log_poisson_complex(P, basis)
+            for i, j in combinations(range(n), 2):
+                expected = d(frame, pi.component((i, j)))
+                assert L.sc.get((i, j), OneForm.zero(n, n).coeffs) == expected.coeffs
+            for _ in range(10):
+                f = random_poly(rng, n, 3)
+                for j in range(n):
+                    assert L.anchors[j].apply(f) == two_form_value(pi, units[j], d(frame, f))
+
+
 # -- the weighted frame against the direct definitions -----------------
 
 
@@ -96,7 +120,7 @@ def assert_frame_matches_direct(P, logvars):
     poi = poisson_complex(P)
     assert poi.name == "poisson"
     assert poi.anchors == oracle.poisson_anchors(P)
-    assert poi.sc == oracle.poisson_structure_constants(P)
+    assert poi.sc == oracle.poisson_sc(P)
     assert log_hamiltonian_matrix(P, LogBasis.all_exact(n)) == \
         oracle.log_hamiltonian_matrix(P, set())
     spec = LogDivisorSpec.normalize([Poly.variable(n, j) for j in sorted(logvars)])
@@ -104,7 +128,7 @@ def assert_frame_matches_direct(P, logvars):
     B = LogBasis.from_divisor(n, spec)
     log = log_poisson_complex(P, B)
     assert log.anchors == oracle.log_anchors(P, logvars)
-    assert log.sc == oracle.log_structure_constants(P, logvars)
+    assert log.sc == oracle.log_sc(P, logvars)
     assert log_derham_complex(B).anchors == oracle.derham_anchors(n, logvars)
     assert log_hamiltonian_matrix(P, B) == oracle.log_hamiltonian_matrix(P, logvars)
 

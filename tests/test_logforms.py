@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from logpoisson import selfcheck
 from logpoisson.complexes import (
     extension_bracket,
@@ -11,17 +9,12 @@ from logpoisson.complexes import (
 )
 from logpoisson.logforms import (
     BasisForm,
-    DivisionObstruction,
     OneForm,
-    express_d,
-    log_hamiltonian_basis,
     log_hamiltonian_matrix,
     log_symplectic_test,
-    pair_scalar,
     poly_det,
-    structure_constants,
 )
-from logpoisson.poisson import Derivation, PoissonStructure
+from logpoisson.poisson import Derivation
 from logpoisson.poly import Poly, parse_poly
 from logpoisson.selfcheck import (
     XY,
@@ -51,55 +44,6 @@ def test_basis_layout():
         Derivation((p2("x"), Poly.zero(2))), Derivation((Poly.zero(2), p2("1")))]
     _, B3 = setup_xyz()
     assert [f.weight(3) for f in B3.forms] == [p3("x"), p3("y"), p3("z")]
-
-
-def test_log_hamiltonian_basis_examples():
-    P, B = setup_x()
-    assert log_hamiltonian_basis(P, B.forms[0]) == Derivation((Poly.zero(2), p2("1")))
-    P2, B2 = setup_x2()
-    assert log_hamiltonian_basis(P2, B2.forms[1]) == Derivation((p2("-x^2"), Poly.zero(2)))
-    assert log_hamiltonian_basis(P2, B2.forms[0]) == Derivation((Poly.zero(2), p2("x")))
-    P3, B3 = setup_xyz()
-    assert log_hamiltonian_basis(P3, B3.forms[1]) == Derivation(
-        (Poly.zero(3), Poly.zero(3), p3("x*z"))
-    )
-
-
-def test_log_hamiltonian_obstruction():
-    # {x,y} = 1 is not logarithmic along x, so dx/x has no image
-    P = PoissonStructure(XY, {(0, 1): p2("1")})
-    with pytest.raises(DivisionObstruction):
-        log_hamiltonian_basis(P, BasisForm(0, True))
-
-
-def test_express_d_examples():
-    _, B = setup_x()
-    assert express_d(B, p2("x")) == one_form(B, "x", "0")
-    assert express_d(B, p2("x*y")) == one_form(B, "x*y", "x")
-    assert express_d(B, Poly.const(2, 7)).is_zero()
-
-
-def test_express_d_is_a_derivation(rng):
-    _, B = setup_xyz()
-    for _ in range(40):
-        f = random_poly(rng, 3, 3)
-        g = random_poly(rng, 3, 3)
-        lhs = express_d(B, f * g)
-        rhs = express_d(B, g).scale(f) + express_d(B, f).scale(g)
-        assert lhs == rhs
-
-
-def test_structure_constants_examples():
-    P, B = setup_x()
-    assert structure_constants(P, B, 0, 1).is_zero()  # d(x/x) = d(1) = 0
-
-    P2, B2 = setup_x2()
-    assert pair_scalar(P2, B2, 0, 1) == p2("x")
-    assert structure_constants(P2, B2, 0, 1) == one_form(B2, "x", "0")
-
-    P3, B3 = setup_xyz()
-    assert pair_scalar(P3, B3, 1, 2) == p3("x")
-    assert structure_constants(P3, B3, 1, 2) == OneForm((p3("x"), p3("0"), p3("0")))
 
 
 def test_form_bracket_examples():
