@@ -56,6 +56,7 @@ from .cohomology import (
     SliceWindow,
     compare_tables,
     compute_table,
+    euler_primitive,
     find_primitive,
 )
 
@@ -83,6 +84,7 @@ __all__ = [
     "compare_tables",
     "compute_table",
     "differential",
+    "euler_primitive",
     "extension_bracket",
     "find_primitive",
     "format_poly",

@@ -32,6 +32,7 @@ from .cohomology import (
     WindowTooLarge,
     compare_tables,
     compute_table,
+    euler_primitive,
     find_primitive,
 )
 from .complexes import (
@@ -347,7 +348,10 @@ def run_prequantize(spec: ProblemSpec, window: SliceWindow) -> dict:
     names = list(spec.variables)
     labels = basis.labels(names)
     pi = two_form_cochain(structure, basis)
-    witness = find_primitive(data, pi, window)
+    # the Euler route needs no elimination; the windowed search decides the rest
+    witness = euler_primitive(structure, basis, data, pi, window)
+    if witness is None:
+        witness = find_primitive(data, pi, window)
     doc = {
         "command": "prequantize",
         "max_degree": window.max_degree,

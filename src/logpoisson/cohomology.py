@@ -30,6 +30,14 @@ q.  Columns are fed in ascending key order, so d^k(e_q) is in the span of
 earlier columns when e_q comes and would store no row.  So the d^k pass
 counts the sources at those pivots but does not feed them; rows, kernels,
 images and flags stay the same, also for the pivots of a clamped pass.
+A table whose lowest k is at least 2, and a search for a primitive of a
+k-cochain, first run the lead pass d^(k-2) for its pivots alone.  In a
+search a skipped column would reduce to bookkeeping keys alone, which
+Echelon.insert does not store, so the echelon and the witness stay the
+same.
+
+A quasi-homogeneous bracket needs no search for the primitive of its
+curvature: the Euler field of its weights is one (euler_primitive).
 
 All elimination is exact and fraction-free.  A coordinate (degree,
 component tuple, monomial) of the sliced cochain space is packed into one
@@ -50,6 +58,8 @@ from operator import mul
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .complexes import Cochain, LieRinehartData, differential
+from .logforms import LogBasis
+from .poisson import PoissonStructure
 from .poly import Poly, monomials_of_degree
 
 # a coordinate of the sliced cochain space, as callers see it
@@ -57,15 +67,15 @@ Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 # The most basis cochains one elimination may take.  The windows of the
 # tests, demos and benchmark need at most a few thousand.  The limit
-# bounds memory, not time: {x,y} = x(1+xy+y^2) along x at max_degree 150
-# needs 24,492 basis 1-cochains, well inside it, and its H^2 table took
-# 155 s, since on ungraded input elimination grows far faster than the
-# column count (ROADMAP item 3).  That H^2 table has no d^0 pass whose
-# pivots d^1 could skip; the full table takes 0.06 s at max_degree 60.
-# The limit is checked on the sources each pass takes, before any basis
-# is built: up to D + buffer + 1, or on graded input D + reach (module
-# docstring), so a graded window is not refused for sources it never
-# builds.
+# bounds memory, not time: on ungraded input elimination can grow far
+# faster than the column count.  {x,y} = x(1+xy+y^2) along x at
+# max_degree 150 needs 24,492 basis 1-cochains, well inside it; its H^2
+# table took 54 s (CPython 3.11, 2-vCPU VM) while its d^1 pass fed every
+# column, and takes 0.3 s now that the lead pass hands d^1 the pivots of
+# d^0 (module docstring).  The limit is checked on the sources each pass
+# takes, before any basis is built: up to D + buffer + 1, or on graded
+# input D + reach (module docstring), so a graded window is not refused
+# for sources it never builds.
 MAX_BASIS_SIZE = 100_000
 
 
@@ -467,8 +477,11 @@ def compute_table(data: LieRinehartData, ks: Iterable[int],
     D = window.max_degree
     buffer = window.resolve_buffer(data)
     limits = (D + buffer, D + buffer + 1)
-    plan = {j: limits if j + 1 in ks else ()
-            for j in sorted(set(ks) | {k - 1 for k in ks if k})}
+    # the lead pass d^(min k - 2) is planned only for its pivots, the
+    # known cocycles of the first d^(k-1) pass
+    lead = [ks[0] - 2] if ks and ks[0] >= 2 else []
+    plan = {j: limits if j + 1 in ks or j in lead else ()
+            for j in sorted({*ks, *(k - 1 for k in ks if k), *lead})}
     # every basis is counted before any is built, up to the limits its pass takes
     stencils = {j: Stencil(data, j) for j in plan}
     for j, image_limits in plan.items():
@@ -519,6 +532,27 @@ def compare_tables(first: CohomologyTable, second: CohomologyTable) -> TableDiff
     return TableDiff(not bad, tuple(bad))
 
 
+def _search_plan(data: LieRinehartData, cochain: Cochain, window: SliceWindow,
+                 ) -> tuple[int, int, int, Stencil]:
+    """The sizes of a search for a primitive of a nonzero k-cochain: the
+    target's degree, the degree the d^(k-1) pass reports (the target's, at
+    most D + buffer), the pass's clamped source limit, and the stencil of
+    d^(k-1).  Every basis the search takes is counted before any is built,
+    the window's own degree D too, as in compute_table; this is the window
+    gate of every route to a primitive.
+    """
+    k = cochain.k
+    top = window.max_degree + window.resolve_buffer(data)
+    degree = max(poly.degree() for poly in cochain.comps.values())
+    pass_degree = min(degree, top)
+    stencil = Stencil(data, k - 1)
+    (limit,) = stencil.clamp(pass_degree, [top])
+    basis_size(data, k - 1, max(window.max_degree, limit))
+    if k >= 2:
+        basis_size(data, k - 2, limit)  # the lead pass takes the same sources
+    return degree, pass_degree, limit, stencil
+
+
 def find_primitive(data: LieRinehartData, cochain: Cochain,
                    window: SliceWindow) -> Optional[Cochain]:
     """Solve d(v) = cochain over sources of degree <= D + buffer.
@@ -534,17 +568,20 @@ def find_primitive(data: LieRinehartData, cochain: Cochain,
         raise ValueError("0-cochains have no primitives")
     if cochain.is_zero():
         return Cochain.zero(k - 1, data.r, data.nvars)
-    top = window.max_degree + window.resolve_buffer(data)
+    degree, pass_degree, limit, stencil = _search_plan(data, cochain, window)
+    # one base for both passes and the target, since degree_shift bounds
+    # each stencil's max_shift
+    coords = Coordinates(data, max(limit + max(data.degree_shift(), 0), degree) + 1)
+    cocycles: Collection[int] = ()
+    if k >= 2:
+        # the lead pass: its pivots are cocycles of d^(k-1), whose tracked
+        # columns would reduce to bookkeeping keys alone and store no row
+        cocycles = set(_filtered_pass(data, k - 2, limit, [limit], coords=coords)[2].rows)
+    *_, ech, _ = _filtered_pass(data, k - 1, pass_degree, [limit], degree, coords=coords,
+                                cocycles=cocycles, stencil=stencil)
+    # the target, cleared of denominators, with the marker -1 for its multiple
     terms = [(tup, mono, c) for tup, poly in cochain.comps.items()
              for mono, c in poly.terms.items()]
-    degree = max(sum(mono) for _, mono, _ in terms)
-    pass_degree = min(degree, top)
-    stencil = Stencil(data, k - 1)
-    # the pass takes sources up to its clamped limit, at least pass_degree;
-    # the window's own degree is counted too, as in compute_table
-    basis_size(data, k - 1, max((window.max_degree, *stencil.clamp(pass_degree, [top]))))
-    *_, ech, coords = _filtered_pass(data, k - 1, pass_degree, [top], degree, stencil=stencil)
-    # the target, cleared of denominators, with the marker -1 for its multiple
     clear = lcm(*(c.denominator for *_, c in terms))
     target = {coords.pack((sum(mono), tup, mono)): c.numerator * (clear // c.denominator)
               for tup, mono, c in terms}
@@ -563,3 +600,68 @@ def find_primitive(data: LieRinehartData, cochain: Cochain,
     if differential(data, witness) != cochain:
         raise AssertionError("primitive verification failed: d(witness) != cochain")
     return witness
+
+
+def euler_weights(structure: PoissonStructure, basis: LogBasis) -> Optional[list[Fraction]]:
+    """Weights w with sum_l (m_l - [l = i] - [l = j]) w_l = -1 for every
+    term x^m of every stored {x_i, x_j}, or None when there are none.
+
+    Then every {x_i, x_j} is quasi-homogeneous of weight w_i + w_j - 1.
+    The system is solved as find_primitive solves d(v) = cochain: the
+    column of w_l carries the bookkeeping key -2 - l with value 1, the
+    right-hand side the marker -1, and what is left of it after reduction
+    is bookkeeping only exactly when w exists.  The columns of the log
+    variables go first, and a column that stores no row keeps weight 0.
+    """
+    n = structure.n
+    equations = sorted({tuple(e - (l == i) - (l == j) for l, e in enumerate(mono))
+                        for (i, j), poly in structure.table.items() for mono in poly.terms})
+    ech = Echelon()
+    for l in sorted(range(n), key=lambda l: not basis.forms[l].is_log):
+        column = {row: eq[l] for row, eq in enumerate(equations) if eq[l]}
+        column[-2 - l] = 1
+        ech.insert(column)
+    residual = ech.reduce({**dict.fromkeys(range(len(equations)), -1), -1: 1})
+    if max(residual) >= 0:
+        return None
+    multiple = residual.pop(-1)
+    weights = [Fraction(0)] * n
+    for key, c in residual.items():
+        weights[-2 - key] = Fraction(-c, multiple)
+    return weights
+
+
+def euler_primitive(structure: PoissonStructure, basis: LogBasis, data: LieRinehartData,
+                    pi: Cochain, window: SliceWindow) -> Optional[Cochain]:
+    """A primitive of pi = two_form_cochain(structure, basis) in the log
+    Poisson complex data, read off the Euler field: no elimination.
+
+    If every {x_i, x_j} is quasi-homogeneous of weight w_i + w_j + e, the
+    Euler field E = sum_l w_l x_l d/dx_l has d(E) = -e pi (Huebschmann
+    1990; Monnier 2002).  euler_weights takes e = -1, so the witness is E
+    on the log basis, theta(dx_l/h_l) = w_l x_l / h_l, and it is checked
+    against pi in the generic engine.  The window is sized first, exactly
+    as find_primitive sizes it.  Returns None, leaving the answer to
+    find_primitive, when pi is zero, when no weights exist (e is 0 for
+    every grading, as on log-canonical brackets), or when theta's degree
+    exceeds D + buffer.
+    """
+    if pi.is_zero():
+        return None
+    _search_plan(data, pi, window)
+    weights = euler_weights(structure, basis)
+    if weights is None:
+        return None
+    n = structure.n
+    comps = {}
+    for l, (w, form) in enumerate(zip(weights, basis.forms)):
+        if w:
+            mono = tuple(int(t == l and not form.is_log) for t in range(n))
+            comps[(l,)] = Poly(n, {mono: w})
+    theta = Cochain(1, data.r, n, comps)
+    if differential(data, theta) != pi:
+        raise AssertionError("Euler verification failed: d(theta) != pi")
+    top = window.max_degree + window.resolve_buffer(data)
+    if any(poly.degree() > top for poly in comps.values()):
+        return None
+    return theta

@@ -1,4 +1,5 @@
-"""Randomized property suites over the three worked structures.
+"""Randomized property suites over the three worked structures and
+generated quasi-homogeneous brackets.
 
 The suites check the paper's first result on each of the nine complexes
 the tables use: the bracket of one-forms obeys Jacobi and the module
@@ -9,6 +10,11 @@ them with the default rounds, which keep it quick, and acceptance
 criterion 8 runs them with more rounds at its own seed.  A deliberately
 corrupted structure-constant table (the mutation mode) must make the
 d-squared suite fail.
+
+The Euler suite generates brackets that are quasi-homogeneous for some
+weights (weighted planes, Jacobian brackets of weighted-homogeneous
+functions, and products of planes), each along a divisor that passes
+the checks, and holds the Euler route to the windowed search.
 
 The closed forms in the formula-oracle suite are written out by hand in
 lexicographic component order.  The top operator of the three-variable
@@ -23,6 +29,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable
 
+from .cohomology import SliceWindow, euler_primitive, find_primitive
 from .complexes import (
     Cochain,
     LieRinehartData,
@@ -31,9 +38,10 @@ from .complexes import (
     log_hamiltonian_cochain_map,
     log_poisson_complex,
     poisson_complex,
+    two_form_cochain,
 )
 from .logforms import LogBasis, OneForm
-from .poisson import LogDivisorSpec, PoissonStructure
+from .poisson import LogDivisorSpec, PoissonStructure, is_log_principal
 from .poly import Poly, format_poly, monomials_of_degree, parse_poly
 
 XY = ["x", "y"]
@@ -91,6 +99,13 @@ def _mutate_sc(data: LieRinehartData) -> LieRinehartData:
                            name=data.name + "-mutated")
 
 
+def _describe(P: PoissonStructure, B: LogBasis) -> str:
+    bracket = ", ".join(f"{{{P.names[i]},{P.names[j]}}} = {format_poly(p, P.names)}"
+                        for (i, j), p in P.table.items())
+    divisor = ", ".join(P.names[f.index] for f in B.forms if f.is_log)
+    return f"{bracket} along {divisor}"
+
+
 def _all_complexes(mutate: bool = False) -> list[LieRinehartData]:
     # each named with its bracket and divisor, for failure details
     out = []
@@ -101,10 +116,7 @@ def _all_complexes(mutate: bool = False) -> list[LieRinehartData]:
             log = _mutate_sc(log)
         elif mutate and poi.sc:
             poi = _mutate_sc(poi)
-        bracket = ", ".join(f"{{{P.names[i]},{P.names[j]}}} = {format_poly(p, P.names)}"
-                            for (i, j), p in P.table.items())
-        divisor = ", ".join(P.names[f.index] for f in B.forms if f.is_log)
-        out.extend(replace(data, name=f"{data.name} of {bracket} along {divisor}")
+        out.extend(replace(data, name=f"{data.name} of {_describe(P, B)}")
                    for data in (log, poi, log_derham_complex(B)))
     return out
 
@@ -138,6 +150,61 @@ def random_one_form(rng, data: LieRinehartData, max_degree: int = 3) -> OneForm:
     return OneForm(tuple(
         random_poly(rng, data.nvars, max_degree, 3) for _ in range(data.r)
     ))
+
+
+def _weighted_poly(rng, weights, weight: int, least: tuple[int, ...]) -> Poly:
+    """Random nonzero polynomial of the given weight for positive integer
+    weights, every exponent vector at least least; the zero polynomial
+    when no monomial has that weight."""
+    monos = [m for d in range(weight + 1) for m in monomials_of_degree(len(weights), d)
+             if sum(e * w for e, w in zip(m, weights)) == weight
+             and all(e >= lo for e, lo in zip(m, least))]
+    if not monos:
+        return Poly.zero(len(weights))
+    chosen = rng.sample(monos, rng.randint(1, min(3, len(monos))))
+    return Poly(len(weights), {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in chosen})
+
+
+def _weighted_plane(rng) -> tuple[Poly, bool]:
+    # {x, y} = f quasi-homogeneous of weight a + b + e with e != 0, x | f;
+    # also along y when y | f
+    while True:
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        weight = rng.choice([t for t in range(a, 2 * (a + b) + 2) if t != a + b])
+        f = _weighted_poly(rng, (a, b), weight, (1, 0))
+        if f:
+            return f, all(m[1] for m in f.terms) and rng.random() < 0.5
+
+
+def euler_structures(rng) -> list[tuple[str, PoissonStructure, list[Poly]]]:
+    """One generated quasi-homogeneous bracket with e != 0 per family,
+    with divisor generators it is principal logarithmic along: a weighted
+    plane; the Jacobian bracket {x_i, x_j} = eps_ijk dphi/dx_k of a
+    weighted-homogeneous phi = x g, along x; and two weighted planes
+    side by side, each along its first variable."""
+    f, both = _weighted_plane(rng)
+    plane = PoissonStructure(XY, {(0, 1): f})
+    plane_divisor = [p2("x"), p2("y")] if both else [p2("x")]
+    while True:
+        weights = tuple(rng.randint(1, 3) for _ in range(3))
+        weight = rng.choice([t for t in range(weights[0] + 1, sum(weights) + 5)
+                             if t != sum(weights)])
+        phi = _weighted_poly(rng, weights, weight, (1, 0, 0))
+        grad = [phi.partial(k) for k in range(3)]
+        if any(grad):
+            break
+    jacobian = PoissonStructure(XYZ, {(0, 1): grad[2], (0, 2): -grad[1], (1, 2): grad[0]})
+    # the planes on x, y and on z, w
+    (f1, _), (f2, _) = _weighted_plane(rng), _weighted_plane(rng)
+    planes = PoissonStructure("xyzw", {
+        (0, 1): Poly(4, {m + (0, 0): c for m, c in f1.terms.items()}),
+        (2, 3): Poly(4, {(0, 0) + m: c for m, c in f2.terms.items()}),
+    })
+    return [
+        ("weighted plane", plane, plane_divisor),
+        ("jacobian", jacobian, [p3("x")]),
+        ("planes", planes, [Poly.variable(4, 0), Poly.variable(4, 2)]),
+    ]
 
 
 # -- the suites --------------------------------------------------------------
@@ -352,6 +419,34 @@ def suite_formula_oracles(rng, rounds: int = 50) -> SuiteResult:
     return SuiteResult("formula oracles", True, cases)
 
 
+def suite_euler(rng, rounds: int = 4) -> SuiteResult:
+    """On quasi-homogeneous brackets the Euler route finds a primitive of
+    pi with d(theta) = pi, and find_primitive finds one in the same
+    window exactly when the route does."""
+    cases = 0
+    for _ in range(rounds):
+        for family, P, generators in euler_structures(rng):
+            divisor = LogDivisorSpec.normalize(generators)
+            B = LogBasis.from_divisor(P.n, divisor)
+            cases += 1
+            if P.jacobi_failures() or not is_log_principal(P, divisor).ok:
+                return SuiteResult("euler primitives", False, cases,
+                                   f"{family} {_describe(P, B)} fails check")
+            data, pi = log_poisson_complex(P, B), two_form_cochain(P, B)
+            window = SliceWindow(rng.randint(0, 3))
+            try:
+                theta = euler_primitive(P, B, data, pi, window)
+            except AssertionError as err:
+                return SuiteResult("euler primitives", False, cases,
+                                   f"{family} {_describe(P, B)}: {err}")
+            found = find_primitive(data, pi, window)
+            if theta is None or differential(data, theta) != pi or found is None:
+                return SuiteResult("euler primitives", False, cases,
+                                   f"{family} {_describe(P, B)}: route"
+                                   f" {theta is not None}, search {found is not None}")
+    return SuiteResult("euler primitives", True, cases)
+
+
 SUITES: list[Callable] = [
     suite_d_squared,
     suite_poisson_jacobi,
@@ -360,6 +455,7 @@ SUITES: list[Callable] = [
     suite_anchor_homomorphism,
     suite_chain_map_square,
     suite_formula_oracles,
+    suite_euler,
 ]
 
 

@@ -374,6 +374,14 @@ def _over_variable(poly, j):
     return q
 
 
+def nested_jacobiator(structure, i, j, k):
+    """{x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}}, six generic
+    brackets of polynomials."""
+    xi, xj, xk = (structure.variable(t) for t in (i, j, k))
+    br = structure.bracket
+    return br(xi, br(xj, xk)) + br(xj, br(xk, xi)) + br(xk, br(xi, xj))
+
+
 def poisson_anchors(structure):
     """The Hamiltonian derivations {x_j, -} of the generators."""
     return tuple(structure.hamiltonian(structure.variable(j))

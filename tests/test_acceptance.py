@@ -40,6 +40,7 @@ from logpoisson.selfcheck import (
     suite_anchor_homomorphism,
     suite_chain_map_square,
     suite_d_squared,
+    suite_euler,
     suite_form_bracket_jacobi,
     suite_formula_oracles,
     suite_leibniz,
@@ -388,6 +389,7 @@ def test_criterion_8_property_suites():
         "anchor-homomorphism": passed((suite_anchor_homomorphism, 18)),
         "chain-map-square": passed((suite_chain_map_square, 25)),
         "formula-oracles": passed((suite_formula_oracles, 50)),
+        "euler": passed((suite_euler, 12)),
         "formulas-two-var": _check_two_var_formulas(rng),
         "formulas-three-var-log": _check_three_var_log_formulas(rng),
         "formulas-three-var-poisson": _check_three_var_poisson_formulas(rng),
@@ -402,6 +404,7 @@ def test_criterion_8_property_suites():
     assert results["anchor-homomorphism"], failures
     assert results["chain-map-square"], failures
     assert results["formula-oracles"], failures
+    assert results["euler"], failures
     assert results["formulas-two-var"]
     assert results["formulas-three-var-log"]
     assert results["formulas-three-var-poisson"]

@@ -237,6 +237,39 @@ def test_prequantize_zero_bracket(tmp_path):
     assert payload["curvature"] == []
 
 
+def test_prequantize_below_degree_one_runs_the_search():
+    # the Euler witness dy -> y has degree 1, above D + buffer = 0, so the
+    # windowed search decides, and prints what it printed before the route
+    path = str(ROOT / "demos" / "inputs" / "bracket_x.json")
+    code, out = run_main(["prequantize", "--input", path, "--max-degree", "0",
+                          "--buffer", "0"])
+    assert code == cli.EXIT_OK
+    assert out == ("curvature two-cochain:\n  (dx/x, dy) -> 1\n"
+                   "obstruction persists to degree 0 (no primitive in the window;"
+                   " inconclusive beyond it)\nsecond cohomology dims by degree: 1\n")
+
+
+def test_prequantize_takes_the_euler_route_without_a_search(tmp_path, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "find_primitive", no_search)
+    code, out = run_main(["prequantize", "--format", "json"], EX1, tmp_path)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["witness"] == [{"form": "dy", "value": "y"}]
+
+
+def test_prequantize_wrong_euler_weights_exit_3(tmp_path, monkeypatch):
+    from fractions import Fraction
+    from logpoisson import cohomology
+
+    monkeypatch.setattr(cohomology, "euler_weights", lambda *_: [Fraction(0), Fraction(2)])
+    code, out, err = run_main_err(["prequantize"], EX1, tmp_path)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert "Euler verification failed" in err
+
+
 def test_parse_error_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")

@@ -21,6 +21,8 @@ from logpoisson.cohomology import (
     basis_size,
     compare_tables,
     compute_table,
+    euler_primitive,
+    euler_weights,
     find_primitive,
 )
 from logpoisson.complexes import (
@@ -570,6 +572,119 @@ def test_find_primitive_finds_every_image_on_graded_input():
             for D in range(deg + 1):
                 assert find_primitive(L, target, SliceWindow(D, deg - D)) is not None, \
                     (L.name, k, u)
+
+
+def test_find_primitive_skips_the_pivots_of_its_lead_pass(monkeypatch):
+    # d^0 runs first in the frame of d^1 and hands its pivots on; without
+    # the skip the d^1 echelon, and so the witness, is the same
+    rng = random.Random(3)
+    calls = []
+    original = cohomology._filtered_pass
+
+    def recorded(data, k, *args, **kwargs):
+        out = original(data, k, *args, **kwargs)
+        calls.append((k, set(kwargs.get("cocycles", ())), out[2].rows, kwargs["coords"]))
+        return out
+
+    def unskipped(data, k, *args, **kwargs):
+        return recorded(data, k, *args, **dict(kwargs, cocycles=()))
+
+    for L in [*worked_complexes(), *mixed_complexes()]:
+        u = Cochain(1, L.r, L.nvars, {(j,): random_poly(rng, L.nvars, 2, 2) for j in range(L.r)})
+        targets = [differential(L, u)]
+        if L.r == 2:
+            # a top cochain is closed; in a small window 1 may have no primitive
+            targets.append(Cochain(2, 2, 2, {(0, 1): p2("1")}))
+        for target in filter(lambda c: not c.is_zero(), targets):
+            answers = []
+            for wrapper in (recorded, unskipped):
+                monkeypatch.setattr(cohomology, "_filtered_pass", wrapper)
+                calls.clear()
+                answers.append((find_primitive(L, target, SliceWindow(3, 1)), calls[1][2]))
+                (lead_k, none, lead_rows, frame), (k, cocycles, _, coords) = calls
+                assert (lead_k, k, none) == (0, 1, set()) and coords is frame, L.name
+                assert cocycles == (set(lead_rows) if wrapper is recorded else set()), L.name
+            assert answers[0] == answers[1], (L.name, target)
+
+
+def test_lead_pass_makes_the_long_h2_chains_short(monkeypatch):
+    # {x,y} = x(1+xy+y^2) along x: the lead pass leaves d^1 almost no
+    # column that reduces to zero, in a table of H^2 alone and in a search
+    x = Poly.variable(2, 0)
+    P = PoissonStructure(XY, {(0, 1): x * p2("1 + x*y + y^2")})
+    L = list(generated_complexes(P, [x]))[1]
+    zero = []
+    original = cohomology.Echelon.insert
+
+    def counted(self, vec):
+        piv = original(self, vec)
+        zero.append(piv is None and max(vec) >= 0)
+        return piv
+
+    monkeypatch.setattr(cohomology.Echelon, "insert", counted)
+    assert compute_table(L, [2], SliceWindow(30)).dims(2)[:4] == [1, 0, 0, 2]
+    assert sum(zero) <= 2
+    zero.clear()
+    assert find_primitive(L, two_form_cochain(P, LogBasis.from_divisor(
+        2, LogDivisorSpec.normalize([x]))), SliceWindow(30)) is None
+    assert sum(zero) <= 2
+
+
+# -- the Euler route -------------------------------------------------------------
+
+
+def euler_inputs(P, generators):
+    B = LogBasis.from_divisor(P.n, LogDivisorSpec.normalize(generators))
+    return P, B, log_poisson_complex(P, B), two_form_cochain(P, B)
+
+
+def test_euler_weights_by_hand():
+    x2, y2 = p2("x"), p2("y")
+    # {x,y} = x: -w_y = -1; w_x is free and stays 0
+    P, B, *_ = euler_inputs(PoissonStructure(XY, {(0, 1): x2}), [x2])
+    assert euler_weights(P, B) == [0, 1]
+    # {x,y} = x^2: w_x - w_y = -1; the log column goes first, so w_y = 0
+    P, B, *_ = euler_inputs(PoissonStructure(XY, {(0, 1): p2("x^2")}), [x2])
+    assert euler_weights(P, B) == [-1, 0]
+    # {x,y} = x^3 y + x y^3 along x and y: 2 w_x = 2 w_y = -1
+    P, B, *_ = euler_inputs(PoissonStructure(XY, {(0, 1): p2("x^3*y + x*y^3")}), [x2, y2])
+    assert euler_weights(P, B) == [Fraction(-1, 2), Fraction(-1, 2)]
+    # a log-canonical bracket and x*g(y) leave only e = 0
+    for f, gens in (("x*y", [x2, y2]), ("x*(1 + y + y^2)", [x2]), ("x*(2 + y^2)", [x2])):
+        P, B, *_ = euler_inputs(PoissonStructure(XY, {(0, 1): p2(f)}), gens)
+        assert euler_weights(P, B) is None, f
+
+
+def test_euler_primitive_is_the_euler_field_on_the_log_basis():
+    # theta(dx_l/h_l) = w_l x_l / h_l: a constant on a log form
+    P, B, L, pi = euler_inputs(PoissonStructure(XY, {(0, 1): p2("x^3*y + x*y^3")}),
+                               [p2("x"), p2("y")])
+    theta = euler_primitive(P, B, L, pi, SliceWindow(0, 0))
+    assert theta == Cochain(1, 2, 2, {(0,): Poly.const(2, Fraction(-1, 2)),
+                                      (1,): Poly.const(2, Fraction(-1, 2))})
+    assert differential(L, theta) == pi
+    # degree 1 on dy, so only a window reaching degree 1 takes it
+    P, B, L, pi = euler_inputs(PoissonStructure(XY, {(0, 1): p2("x")}), [p2("x")])
+    assert euler_primitive(P, B, L, pi, SliceWindow(0, 0)) is None
+    assert euler_primitive(P, B, L, pi, SliceWindow(1, 0)) == \
+        Cochain(1, 2, 2, {(1,): p2("y")})
+    # a zero curvature and e = 0 are left to the search
+    for f in ("0", "x*y"):
+        P, B, L, pi = euler_inputs(PoissonStructure(XY, {(0, 1): p2(f)}), [p2("x")])
+        assert euler_primitive(P, B, L, pi, SliceWindow(4)) is None
+
+
+def test_euler_primitive_sizes_the_window_first():
+    P, B, L, pi = euler_inputs(PoissonStructure(XY, {(0, 1): p2("x")}), [p2("x")])
+    with pytest.raises(cohomology.WindowTooLarge):
+        euler_primitive(P, B, L, pi, SliceWindow(100_000))
+
+
+def test_euler_primitive_verifies_its_witness(monkeypatch):
+    P, B, L, pi = euler_inputs(PoissonStructure(XY, {(0, 1): p2("x")}), [p2("x")])
+    monkeypatch.setattr(cohomology, "euler_weights", lambda *_: [Fraction(0), Fraction(2)])
+    with pytest.raises(AssertionError, match="Euler verification"):
+        euler_primitive(P, B, L, pi, SliceWindow(4))
 
 
 # -- primitives ------------------------------------------------------------

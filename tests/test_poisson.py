@@ -1,5 +1,9 @@
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
 from logpoisson.poly import Poly
 from logpoisson.poisson import (
     Derivation,
@@ -10,7 +14,7 @@ from logpoisson.poisson import (
     normalize_squarefree,
 )
 from logpoisson.selfcheck import XY, XYZ, p2, p3, setup_x, setup_x2, setup_xyz
-from conftest import random_poly
+from conftest import polys, random_poly
 
 
 def test_bracket_examples():
@@ -47,6 +51,18 @@ def test_jacobiator_examples():
     assert R.jacobiator(0, 1, 2) == Poly.zero(3)
     bad = PoissonStructure(XYZ, {(0, 1): p3("z"), (1, 2): p3("y")})
     assert bad.jacobi_failures() == [(0, 1, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([3, 4]))
+def test_jacobiator_equals_the_nested_brackets(data, n):
+    # any table, Poisson or not: the row sums are the six nested brackets
+    names = "xyzw"[:n]
+    table = {pair: data.draw(polys(n, max_exp=2, max_terms=3))
+             for pair in combinations(range(n), 2)}
+    P = PoissonStructure(names, table)
+    for i, j, k in combinations(range(n), 3):
+        assert P.jacobiator(i, j, k) == oracle.nested_jacobiator(P, i, j, k), table
 
 
 def test_coordinate_jacobi_implies_full(rng):
