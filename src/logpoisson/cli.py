@@ -30,10 +30,9 @@ from .cohomology import (
     CohomologyTable,
     SliceWindow,
     WindowTooLarge,
+    _Plan,
     compare_tables,
     compute_table,
-    euler_primitive,
-    find_primitive,
 )
 from .complexes import (
     log_derham_complex,
@@ -236,8 +235,9 @@ def check_text(doc: dict) -> str:
 # -- cohomology and compare -------------------------------------------------
 
 
-def build_complex(spec: ProblemSpec, kind: str):
-    """Gatekeeper: every kind needs its structural checks to hold."""
+def _checked(spec: ProblemSpec, kind: str) -> tuple[PoissonStructure, Optional[LogBasis]]:
+    """Gatekeeper: every kind needs its structural checks to hold.  The
+    structure, and the log basis of the log kinds."""
     if kind not in COMPLEX_KINDS:
         raise SpecError(f"unknown complex kind {kind!r}")
     structure = spec.structure()
@@ -245,7 +245,7 @@ def build_complex(spec: ProblemSpec, kind: str):
         raise CheckFailure("the bracket table violates the Jacobi identity;"
                            " run the check command for details")
     if kind == "poisson":
-        return poisson_complex(structure)
+        return structure, None
     try:
         divisor = spec.divisor()
     except UnsupportedDivisor as err:
@@ -253,12 +253,19 @@ def build_complex(spec: ProblemSpec, kind: str):
     if divisor is None:
         raise CheckFailure(f"{kind} needs log_generators in the problem document")
     basis = LogBasis.from_divisor(structure.n, divisor)
-    if kind == "log-derham":
-        return log_derham_complex(basis)
-    report = is_log_principal(structure, divisor)
-    if not report.ok:
+    if kind == "log-poisson" and not is_log_principal(structure, divisor).ok:
         raise CheckFailure("the bracket is not principal logarithmic along the"
                            " divisor; run the check command for details")
+    return structure, basis
+
+
+def build_complex(spec: ProblemSpec, kind: str):
+    """The complex of one kind, once its checks hold."""
+    structure, basis = _checked(spec, kind)
+    if kind == "poisson":
+        return poisson_complex(structure)
+    if kind == "log-derham":
+        return log_derham_complex(basis)
     return log_poisson_complex(structure, basis)
 
 
@@ -342,20 +349,21 @@ def run_prequantize(spec: ProblemSpec, window: SliceWindow) -> dict:
     if len(spec.variables) < 2:
         raise SpecError("prequantize needs at least two variables: the"
                         " curvature is a two-cochain")
-    data = build_complex(spec, "log-poisson")
-    structure = spec.structure()
-    basis = LogBasis.from_divisor(structure.n, spec.divisor())
+    structure, basis = _checked(spec, "log-poisson")
+    pi = two_form_cochain(structure, basis)
+    data = log_poisson_complex(structure, basis, pi)
     names = list(spec.variables)
     labels = basis.labels(names)
-    pi = two_form_cochain(structure, basis)
-    # the Euler route needs no elimination; the windowed search decides the rest
-    witness = euler_primitive(structure, basis, data, pi, window)
+    # one plan: the Euler route needs no elimination, the plan's search
+    # decides the rest, and its passes go on to the H^2 table if it fails
+    plan = _Plan(data, [2], window, pi)
+    witness = plan.euler(structure, basis)
     if witness is None:
-        witness = find_primitive(data, pi, window)
+        witness = plan.primitive()
     doc = {
         "command": "prequantize",
         "max_degree": window.max_degree,
-        "buffer": window.resolve_buffer(data),
+        "buffer": plan.buffer,
         "curvature": [
             {"pair": [labels[i], labels[j]], "value": format_poly(p, names)}
             for (i, j), p in sorted(pi.comps.items())
@@ -368,7 +376,7 @@ def run_prequantize(spec: ProblemSpec, window: SliceWindow) -> dict:
             for t, p in sorted(witness.comps.items())
         ] or [{"form": labels[0], "value": "0"}]
     else:
-        doc["h2_dims"] = compute_table(data, [2], window).dims(2)
+        doc["h2_dims"] = plan.table().dims(2)
         doc["note"] = ("no primitive with coefficients of degree <= "
                        f"{window.max_degree + doc['buffer']}; this windowed"
                        " search is not a proof of nonexactness")

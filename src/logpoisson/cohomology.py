@@ -19,10 +19,10 @@ Then im meet F_d is spanned by the images of sources of degree <= d + reach:
      (image of a block) meet F_d over the blocks;
   3. a block meeting F_d holds a target of degree w + psi(U) <= d, so its
      sources have degree w + phi(T) <= d + reach.
-So _filtered_pass, the one elimination of tables and primitive searches,
-clamps each image limit L to min(L, D + reach), D being the target's
-degree in a search; pivots of degree <= D, tables, flags and witnesses
-are the same as without the clamp.
+So _Pass, the one elimination of tables and primitive searches, clamps
+each image limit L to min(L, D + reach), D being the target's degree in
+a search; pivots of degree <= D, tables, flags and witnesses are the
+same as without the clamp.
 
 A table also skips known cocycles.  A row of the d^(k-1) echelon with
 pivot q lies in im d^(k-1), inside ker d^k, and its other keys are below
@@ -30,14 +30,22 @@ q.  Columns are fed in ascending key order, so d^k(e_q) is in the span of
 earlier columns when e_q comes and would store no row.  So the d^k pass
 counts the sources at those pivots but does not feed them; rows, kernels,
 images and flags stay the same, also for the pivots of a clamped pass.
-A table whose lowest k is at least 2, and a search for a primitive of a
-k-cochain, first run the lead pass d^(k-2) for its pivots alone.  In a
-search a skipped column would reduce to bookkeeping keys alone, which
-Echelon.insert does not store, so the echelon and the witness stay the
-same.
+A table whose lowest k is at least 2 first runs the lead pass d^(k-2)
+for its pivots alone.
+
+Tables and searches share one plan (_Plan).  A search for a primitive
+of a k-cochain is the plan of the H^k table with its d^(k-1) pass
+tracked: the lead pass runs first, and the target is reduced once the
+tracked pass has fed the search's source limit.  A skipped column would
+reduce to bookkeeping keys alone, which Echelon.insert does not store,
+so the echelon and the witness are the same as without the skip.  The
+passes stop at that limit and can go on, so prequantize, which needs
+the H^2 table when the search fails, eliminates each cochain degree
+once.
 
 A quasi-homogeneous bracket needs no search for the primitive of its
-curvature: the Euler field of its weights is one (euler_primitive).
+curvature: the Euler field of its weights is one (euler_primitive),
+behind the same window gate as the search.
 
 All elimination is exact and fraction-free.  A coordinate (degree,
 component tuple, monomial) of the sliced cochain space is packed into one
@@ -73,9 +81,11 @@ Key = tuple[int, tuple[int, ...], tuple[int, ...]]
 # table took 54 s (CPython 3.11, 2-vCPU VM) while its d^1 pass fed every
 # column, and takes 0.3 s now that the lead pass hands d^1 the pivots of
 # d^0 (module docstring).  The limit is checked on the sources each pass
-# takes, before any basis is built: up to D + buffer + 1, or on graded
-# input D + reach (module docstring), so a graded window is not refused
-# for sources it never builds.
+# takes, up to D + buffer + 1, or on graded input D + reach (module
+# docstring), so a graded window is not refused for sources it never
+# builds.  A search checks its passes before it builds any basis, and a
+# table, also one that goes on after a search, checks all of its passes
+# before it feeds any.
 MAX_BASIS_SIZE = 100_000
 
 
@@ -364,59 +374,75 @@ class Echelon:
         return len(self.rows)
 
 
-def _filtered_pass(data: LieRinehartData, k: int, max_degree: int,
-                   image_limits: Sequence[int] = (), target_degree: Optional[int] = None,
-                   coords: Optional[Coordinates] = None, cocycles: Collection[int] = (),
-                   stencil: Optional[Stencil] = None,
-                   ) -> tuple[list[int], list[list[int]], Echelon, Coordinates]:
+class _Pass:
     """The one elimination of d^k, its columns fed in degree order.
 
-    Returns dim(ker d^k meet F_d) for d = 0..max_degree, for each source
-    limit L in image_limits dim(im meet F_d) for d = 0..max_degree from
-    the sources of degree <= L, and the echelon with its coordinates.
-    The kernel is columns minus rank after degree d.  Pivoting at the
-    largest (degree-compatible) key makes the span readable per degree:
-    its intersection with F_d has one basis row per pivot of degree <= d.
+    feed(upto) feeds the sources of degree <= upto not fed yet, so a pass
+    can stop and go on.  After degree d <= max_degree, kernel[d] is
+    dim(ker d^k meet F_d), columns minus rank; after each clamped source
+    limit L, images[L] lists dim(im meet F_d) for d = 0..max_degree from
+    the sources of degree <= L.  Pivoting at the largest
+    (degree-compatible) key makes the span readable per degree: its
+    intersection with F_d has one basis row per pivot of degree <= d.
     Given target_degree, the base also holds keys of that degree and the
     column of source s carries the bookkeeping coordinate -2 - s with
     value scale[T], recording which combination of sources a row is.
     Given coords, the pass packs in them; their base must hold every
     source and target.  Sources at the keys in cocycles, pivots of the
     d^(k-1) pass in the same coords, are counted but not fed: their
-    columns would store no row (module docstring).  stencil, when given,
-    is Stencil(data, k), built already to count the sources.
+    columns would store no row (module docstring).
     """
-    if stencil is None:
-        stencil = Stencil(data, k)
-    image_limits = stencil.clamp(max_degree, image_limits)
-    top = max((max_degree, *image_limits))
-    base = max(top + max(stencil.max_shift, 0), target_degree or 0) + 1
-    if coords is None:
-        coords = Coordinates(data, base)
-    elif coords.base < base:
-        raise ValueError(f"coordinates of base {coords.base} cannot hold degree {base - 1}")
-    column = stencil.compile(coords)
-    ech = Echelon()
-    pivots = [0] * (max_degree + 1)
-    kernel: list[int] = []
-    images: dict[int, list[int]] = {}
-    sources = 0
-    for d in range(top + 1):
-        for src, tup, mono in coords.keys(k, d):
-            sources += 1
-            if src in cocycles:
-                continue
-            vec = column(src, tup, mono)
-            if target_degree is not None:
-                vec[-2 - src] = stencil.scale[tup]
-            piv = ech.insert(vec) if vec else None
-            if piv is not None and coords.degree(piv) <= max_degree:
-                pivots[coords.degree(piv)] += 1
-        if d <= max_degree:
-            kernel.append(sources - ech.rank)
-        if d in image_limits:
-            images[d] = list(accumulate(pivots))
-    return kernel, [images[limit] for limit in image_limits], ech, coords
+
+    def __init__(self, data: LieRinehartData, k: int, max_degree: int,
+                 image_limits: Sequence[int] = (), target_degree: Optional[int] = None,
+                 coords: Optional[Coordinates] = None, cocycles: Collection[int] = ()):
+        self.stencil = stencil = Stencil(data, k)
+        self.limits = stencil.clamp(max_degree, image_limits)
+        self.top = max((max_degree, *self.limits))
+        base = max(self.top + max(stencil.max_shift, 0), target_degree or 0) + 1
+        if coords is None:
+            coords = Coordinates(data, base)
+        elif coords.base < base:
+            raise ValueError(f"coordinates of base {coords.base} cannot hold degree {base - 1}")
+        self.k, self.max_degree, self.coords, self.cocycles = k, max_degree, coords, cocycles
+        self.tracked = target_degree is not None
+        self.column, self.ech = stencil.compile(coords), Echelon()
+        self.pivots = [0] * (max_degree + 1)
+        self.kernel: list[int] = []
+        self.images: dict[int, list[int]] = {}
+        self.sources, self.fed = 0, -1
+
+    def feed(self, upto: int) -> None:
+        k, max_degree, coords, column, ech, cocycles, pivots, scale, tracked = (
+            self.k, self.max_degree, self.coords, self.column, self.ech, self.cocycles,
+            self.pivots, self.stencil.scale, self.tracked)
+        kernel, images, limits, sources = self.kernel, self.images, self.limits, self.sources
+        for d in range(self.fed + 1, upto + 1):
+            for src, tup, mono in coords.keys(k, d):
+                sources += 1
+                if src in cocycles:
+                    continue
+                vec = column(src, tup, mono)
+                if tracked:
+                    vec[-2 - src] = scale[tup]
+                piv = ech.insert(vec) if vec else None
+                if piv is not None and coords.degree(piv) <= max_degree:
+                    pivots[coords.degree(piv)] += 1
+            if d <= max_degree:
+                kernel.append(sources - ech.rank)
+            if d in limits:
+                images[d] = list(accumulate(pivots))
+        self.sources, self.fed = sources, max(self.fed, upto)
+
+    def counts(self) -> tuple[list[int], list[list[int]]]:
+        return self.kernel, [self.images[limit] for limit in self.limits]
+
+
+def _filtered_pass(*args, **kwargs) -> tuple[list[int], list[list[int]], Echelon, Coordinates]:
+    """A whole _Pass: kernel dims, image dims per limit, echelon, coordinates."""
+    one = _Pass(*args, **kwargs)
+    one.feed(one.top)
+    return (*one.counts(), one.ech, one.coords)
 
 
 @dataclass(frozen=True)
@@ -462,6 +488,144 @@ class CohomologyTable:
         return sorted(self.rows)
 
 
+class _Plan:
+    """The passes of the table of H^k for k in ks over one window, and
+    of a search for a primitive of target, a k-cochain with ks = [k]
+    (module docstring).
+
+    d^j gives the kernel at j and, with the source limits D + buffer and
+    D + buffer + 1, the image at j + 1.  One Coordinates holds every pass,
+    since degree_shift bounds each stencil's max_shift, and the target:
+    the pivot keys of d^(j-1) are source keys of d^j as they stand.  Each
+    pass, and so each stencil, is built once.  A search counts its bases
+    before it builds any, and table() counts its own before it feeds any,
+    so a table after a search refuses the windows compute_table refuses.
+    """
+
+    def __init__(self, data: LieRinehartData, ks: Iterable[int], window: SliceWindow,
+                 target: Optional[Cochain] = None):
+        self.ks = sorted(set(ks))
+        for k in self.ks:
+            if not 0 <= k <= data.r:
+                raise ValueError(f"cochain degree {k} outside 0..{data.r}")
+        self.data, self.target = data, target
+        self.D, self.buffer = window.max_degree, window.resolve_buffer(data)
+        top = self.D + self.buffer
+        lead = [self.ks[0] - 2] if self.ks and self.ks[0] >= 2 else []
+        self.limits = {j: (top, top + 1) if j + 1 in self.ks or j in lead else ()
+                       for j in sorted({*self.ks, *(k - 1 for k in self.ks if k), *lead})}
+        self.tracked = None if target is None else target.k - 1
+        self.degree = 0 if target is None else \
+            max((poly.degree() for poly in target.comps.values()), default=0)
+        self.coords = Coordinates(data, max(top + 2 + data.degree_shift(), self.degree + 1))
+        self.passes: dict[int, _Pass] = {}
+
+    def pass_of(self, j: int) -> _Pass:
+        """The pass of d^j, built on first use; the pivots of d^(j-1)
+        so far are its known cocycles."""
+        one = self.passes.get(j)
+        if one is None:
+            one = self.passes[j] = _Pass(
+                self.data, j, self.D, self.limits[j], self.degree if j == self.tracked else None,
+                coords=self.coords, cocycles=set())
+        if j - 1 in self.passes:
+            one.cocycles.update(self.passes[j - 1].ech.rows)
+        return one
+
+    def search_limit(self) -> int:
+        """The search's source limit, D + buffer clamped at the degree its
+        d^(k-1) pass reports (the target's, at most D + buffer).  Every
+        basis the search takes is counted first, the window's D too, as
+        in a table: the window gate of both routes to a primitive."""
+        k, top = self.target.k, self.D + self.buffer
+        (limit,) = self.pass_of(k - 1).stencil.clamp(min(self.degree, top), [top])
+        basis_size(self.data, k - 1, max(self.D, limit))
+        if k >= 2:
+            basis_size(self.data, k - 2, limit)  # the lead pass takes the same sources
+        return limit
+
+    def table(self) -> CohomologyTable:
+        """compute_table of ks; the passes a search started go on."""
+        D, counts = self.D, {}
+        for j in self.limits:
+            basis_size(self.data, j, self.pass_of(j).top)
+        for j in self.limits:
+            one = self.pass_of(j)
+            # only the pivot keys go on, so no echelon outlives the start
+            # of the pass after it
+            self.passes.pop(j - 1, None)
+            one.feed(one.top)
+            counts[j] = one.counts()
+        no_image = [0] * (D + 1)
+        rows = {}
+        for k in self.ks:
+            image, wider = counts[k - 1][1] if k else (no_image, no_image)
+            rows[k] = _degree_rows(counts[k][0], image, wider)
+        return CohomologyTable(self.data.name or "complex", D, self.buffer, rows)
+
+    def primitive(self) -> Optional[Cochain]:
+        """find_primitive of the target."""
+        data, cochain = self.data, self.target
+        if not differential(data, cochain).is_zero():
+            raise ValueError("cochain is not closed")
+        k = cochain.k
+        if k == 0:
+            raise ValueError("0-cochains have no primitives")
+        if cochain.is_zero():
+            return Cochain.zero(k - 1, data.r, data.nvars)
+        limit = self.search_limit()
+        if k >= 2:
+            # the lead pass: its pivots are cocycles of d^(k-1), whose tracked
+            # columns would reduce to bookkeeping keys alone and store no row
+            self.pass_of(k - 2).feed(limit)
+        tracked = self.pass_of(k - 1)
+        tracked.feed(limit)
+        # the target, cleared of denominators, with the marker -1 for its multiple
+        terms = [(tup, mono, c) for tup, poly in cochain.comps.items()
+                 for mono, c in poly.terms.items()]
+        clear = lcm(*(c.denominator for *_, c in terms))
+        target = {self.coords.pack((sum(mono), tup, mono)): c.numerator * (clear // c.denominator)
+                  for tup, mono, c in terms}
+        target[-1] = clear
+        residual = tracked.ech.reduce(target)
+        if max(residual) >= 0:
+            return None
+        # residual = m * cochain - d(u) with bookkeeping -u and marker m
+        multiple = residual.pop(-1)
+        comps: dict[tuple[int, ...], dict] = {}
+        for key, c in residual.items():
+            _, tup, mono = self.coords.unpack(-2 - key, k - 1)
+            comps.setdefault(tup, {})[mono] = Fraction(-c, multiple)
+        witness = Cochain(k - 1, data.r, data.nvars,
+                          {tup: Poly(data.nvars, comp) for tup, comp in comps.items()})
+        if differential(data, witness) != cochain:
+            raise AssertionError("primitive verification failed: d(witness) != cochain")
+        return witness
+
+    def euler(self, structure: PoissonStructure, basis: LogBasis) -> Optional[Cochain]:
+        """euler_primitive of the target, gated by the search's sizing."""
+        pi = self.target
+        if pi.is_zero():
+            return None
+        self.search_limit()  # the window gate
+        weights = euler_weights(structure, basis)
+        if weights is None:
+            return None
+        n = structure.n
+        comps = {}
+        for l, (w, form) in enumerate(zip(weights, basis.forms)):
+            if w:
+                mono = tuple(int(t == l and not form.is_log) for t in range(n))
+                comps[(l,)] = Poly(n, {mono: w})
+        theta = Cochain(1, self.data.r, n, comps)
+        if differential(self.data, theta) != pi:
+            raise AssertionError("Euler verification failed: d(theta) != pi")
+        top = self.D + self.buffer
+        if any(poly.degree() > top for poly in comps.values()):
+            return None
+        return theta
+
+
 def compute_table(data: LieRinehartData, ks: Iterable[int],
                   window: SliceWindow) -> CohomologyTable:
     """Filtered cohomology for each k in ks, eliminating every
@@ -470,41 +634,7 @@ def compute_table(data: LieRinehartData, ks: Iterable[int],
     H_{<=d} = (ker d^k in F_d) / (im d^{k-1} in F_d), the image taken from
     sources up to D + buffer; an entry unchanged under buffer + 1 is
     flagged stabilized."""
-    ks = sorted(set(ks))
-    for k in ks:
-        if not 0 <= k <= data.r:
-            raise ValueError(f"cochain degree {k} outside 0..{data.r}")
-    D = window.max_degree
-    buffer = window.resolve_buffer(data)
-    limits = (D + buffer, D + buffer + 1)
-    # the lead pass d^(min k - 2) is planned only for its pivots, the
-    # known cocycles of the first d^(k-1) pass
-    lead = [ks[0] - 2] if ks and ks[0] >= 2 else []
-    plan = {j: limits if j + 1 in ks or j in lead else ()
-            for j in sorted({*ks, *(k - 1 for k in ks if k), *lead})}
-    # every basis is counted before any is built, up to the limits its pass takes
-    stencils = {j: Stencil(data, j) for j in plan}
-    for j, image_limits in plan.items():
-        basis_size(data, j, max((D, *stencils[j].clamp(D, image_limits))))
-    # one base for every pass, since degree_shift bounds each stencil's
-    # max_shift: the pivot keys of d^j are source keys of d^(j+1) as they
-    # stand.  Only the counts and the pivot keys pass forward, so no
-    # echelon outlives its pass.
-    coords = Coordinates(data, D + buffer + 2 + data.degree_shift())
-    passes = {}
-    cocycles: set[int] = set()
-    for j, image_limits in plan.items():
-        kernel, images, ech, _ = _filtered_pass(data, j, D, image_limits, coords=coords,
-                                                cocycles=cocycles, stencil=stencils[j])
-        passes[j] = kernel, images
-        cocycles = set(ech.rows) if j + 1 in plan else set()
-        del ech
-    no_image = [0] * (D + 1)
-    rows = {}
-    for k in ks:
-        image, wider = passes[k - 1][1] if k else (no_image, no_image)
-        rows[k] = _degree_rows(passes[k][0], image, wider)
-    return CohomologyTable(data.name or "complex", D, buffer, rows)
+    return _Plan(data, ks, window).table()
 
 
 @dataclass(frozen=True)
@@ -532,27 +662,6 @@ def compare_tables(first: CohomologyTable, second: CohomologyTable) -> TableDiff
     return TableDiff(not bad, tuple(bad))
 
 
-def _search_plan(data: LieRinehartData, cochain: Cochain, window: SliceWindow,
-                 ) -> tuple[int, int, int, Stencil]:
-    """The sizes of a search for a primitive of a nonzero k-cochain: the
-    target's degree, the degree the d^(k-1) pass reports (the target's, at
-    most D + buffer), the pass's clamped source limit, and the stencil of
-    d^(k-1).  Every basis the search takes is counted before any is built,
-    the window's own degree D too, as in compute_table; this is the window
-    gate of every route to a primitive.
-    """
-    k = cochain.k
-    top = window.max_degree + window.resolve_buffer(data)
-    degree = max(poly.degree() for poly in cochain.comps.values())
-    pass_degree = min(degree, top)
-    stencil = Stencil(data, k - 1)
-    (limit,) = stencil.clamp(pass_degree, [top])
-    basis_size(data, k - 1, max(window.max_degree, limit))
-    if k >= 2:
-        basis_size(data, k - 2, limit)  # the lead pass takes the same sources
-    return degree, pass_degree, limit, stencil
-
-
 def find_primitive(data: LieRinehartData, cochain: Cochain,
                    window: SliceWindow) -> Optional[Cochain]:
     """Solve d(v) = cochain over sources of degree <= D + buffer.
@@ -561,45 +670,7 @@ def find_primitive(data: LieRinehartData, cochain: Cochain,
     window.  None is inconclusive: a primitive of higher degree could
     still exist.  The input must be exactly closed.
     """
-    if not differential(data, cochain).is_zero():
-        raise ValueError("cochain is not closed")
-    k = cochain.k
-    if k == 0:
-        raise ValueError("0-cochains have no primitives")
-    if cochain.is_zero():
-        return Cochain.zero(k - 1, data.r, data.nvars)
-    degree, pass_degree, limit, stencil = _search_plan(data, cochain, window)
-    # one base for both passes and the target, since degree_shift bounds
-    # each stencil's max_shift
-    coords = Coordinates(data, max(limit + max(data.degree_shift(), 0), degree) + 1)
-    cocycles: Collection[int] = ()
-    if k >= 2:
-        # the lead pass: its pivots are cocycles of d^(k-1), whose tracked
-        # columns would reduce to bookkeeping keys alone and store no row
-        cocycles = set(_filtered_pass(data, k - 2, limit, [limit], coords=coords)[2].rows)
-    *_, ech, _ = _filtered_pass(data, k - 1, pass_degree, [limit], degree, coords=coords,
-                                cocycles=cocycles, stencil=stencil)
-    # the target, cleared of denominators, with the marker -1 for its multiple
-    terms = [(tup, mono, c) for tup, poly in cochain.comps.items()
-             for mono, c in poly.terms.items()]
-    clear = lcm(*(c.denominator for *_, c in terms))
-    target = {coords.pack((sum(mono), tup, mono)): c.numerator * (clear // c.denominator)
-              for tup, mono, c in terms}
-    target[-1] = clear
-    residual = ech.reduce(target)
-    if max(residual) >= 0:
-        return None
-    # residual = m * cochain - d(u) with bookkeeping -u and marker m
-    multiple = residual.pop(-1)
-    comps: dict[tuple[int, ...], dict] = {}
-    for key, c in residual.items():
-        _, tup, mono = coords.unpack(-2 - key, k - 1)
-        comps.setdefault(tup, {})[mono] = Fraction(-c, multiple)
-    witness = Cochain(k - 1, data.r, data.nvars,
-                      {tup: Poly(data.nvars, comp) for tup, comp in comps.items()})
-    if differential(data, witness) != cochain:
-        raise AssertionError("primitive verification failed: d(witness) != cochain")
-    return witness
+    return _Plan(data, [cochain.k], window, cochain).primitive()
 
 
 def euler_weights(structure: PoissonStructure, basis: LogBasis) -> Optional[list[Fraction]]:
@@ -640,28 +711,11 @@ def euler_primitive(structure: PoissonStructure, basis: LogBasis, data: LieRineh
     Euler field E = sum_l w_l x_l d/dx_l has d(E) = -e pi (Huebschmann
     1990; Monnier 2002).  euler_weights takes e = -1, so the witness is E
     on the log basis, theta(dx_l/h_l) = w_l x_l / h_l, and it is checked
-    against pi in the generic engine.  The window is sized first, exactly
-    as find_primitive sizes it.  Returns None, leaving the answer to
+    against pi in the generic engine.  The window is sized first by the
+    plan of the search (_Plan.search_limit), so no window the search
+    refuses passes this route.  Returns None, leaving the answer to
     find_primitive, when pi is zero, when no weights exist (e is 0 for
     every grading, as on log-canonical brackets), or when theta's degree
     exceeds D + buffer.
     """
-    if pi.is_zero():
-        return None
-    _search_plan(data, pi, window)
-    weights = euler_weights(structure, basis)
-    if weights is None:
-        return None
-    n = structure.n
-    comps = {}
-    for l, (w, form) in enumerate(zip(weights, basis.forms)):
-        if w:
-            mono = tuple(int(t == l and not form.is_log) for t in range(n))
-            comps[(l,)] = Poly(n, {mono: w})
-    theta = Cochain(1, data.r, n, comps)
-    if differential(data, theta) != pi:
-        raise AssertionError("Euler verification failed: d(theta) != pi")
-    top = window.max_degree + window.resolve_buffer(data)
-    if any(poly.degree() > top for poly in comps.values()):
-        return None
-    return theta
+    return _Plan(data, [pi.k], window, pi).euler(structure, basis)

@@ -215,15 +215,18 @@ def poisson_complex(structure: PoissonStructure) -> LieRinehartData:
     return replace(data, name="poisson")
 
 
-def log_poisson_complex(structure: PoissonStructure, basis: LogBasis) -> LieRinehartData:
+def log_poisson_complex(structure: PoissonStructure, basis: LogBasis,
+                        pi: Optional[Cochain] = None) -> LieRinehartData:
     """Complex on the logarithmic basis: the cotangent Lie-Rinehart
     algebra of pi = two_form_cochain over the frame log_derham_complex
     (Huebschmann 1990).  Anchor j is the frame's anchor of row j of pi,
     sum_l pi(j, l) rho_l, and the bracket of basis forms i and j is the
     frame's differential of pi(i, j), with coefficient rho_l(pi(i, j))
-    on form l."""
+    on form l.  pi, when given, is two_form_cochain(structure, basis),
+    built already."""
     frame = log_derham_complex(basis)
-    pi = two_form_cochain(structure, basis)
+    if pi is None:
+        pi = two_form_cochain(structure, basis)
     n = frame.r
     rows = [[_trusted(n, {})] * n for _ in range(n)]
     for (i, j), p in pi.comps.items():

@@ -4,12 +4,25 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+from collections import Counter
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from logpoisson import cli
-from logpoisson.cohomology import MAX_BASIS_SIZE, SliceWindow
-from logpoisson.poly import MAX_POWER_DEGREE, MAX_TERMS, parse_poly
-from conftest import ROOT, src_env
+from logpoisson.cohomology import (
+    MAX_BASIS_SIZE,
+    SliceWindow,
+    compute_table,
+    euler_weights,
+    find_primitive,
+)
+from logpoisson.complexes import log_poisson_complex, two_form_cochain
+from logpoisson.logforms import LogBasis
+from logpoisson.poisson import PoissonStructure
+from logpoisson.poly import MAX_POWER_DEGREE, MAX_TERMS, Poly, format_poly, parse_poly
+from logpoisson.selfcheck import XY
+from conftest import ROOT, log_canonical, polys, src_env
 
 EX1 = {
     "variables": ["x", "y"],
@@ -250,10 +263,12 @@ def test_prequantize_below_degree_one_runs_the_search():
 
 
 def test_prequantize_takes_the_euler_route_without_a_search(tmp_path, monkeypatch):
+    from logpoisson import cohomology
+
     def no_search(*args):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr(cli, "find_primitive", no_search)
+    monkeypatch.setattr(cohomology._Plan, "primitive", no_search)
     code, out = run_main(["prequantize", "--format", "json"], EX1, tmp_path)
     assert code == cli.EXIT_OK
     assert json.loads(out)["witness"] == [{"form": "dy", "value": "y"}]
@@ -268,6 +283,105 @@ def test_prequantize_wrong_euler_weights_exit_3(tmp_path, monkeypatch):
     assert code == cli.EXIT_INTERNAL
     assert out == ""
     assert "Euler verification failed" in err
+
+
+# the two pinned documents whose search fails, so the H^2 table follows
+OBSTRUCTED = [
+    {"variables": ["x", "y"], "bracket": {"x,y": "x*y"}, "log_generators": ["x", "y"],
+     "max_degree": 4},
+    {"variables": ["x", "y"], "bracket": {"x,y": "x*(1 + y + 2*y^2)"},
+     "log_generators": ["x"], "max_degree": 4},
+]
+
+
+@pytest.mark.parametrize("doc", OBSTRUCTED)
+def test_prequantize_eliminates_each_cochain_degree_once(monkeypatch, doc):
+    # the search and the H^2 table are one plan: one pass and one stencil
+    # per d^k, and every source degree of a pass is fed once
+    from logpoisson import cohomology
+
+    stencils, fed = Counter(), Counter()
+    build, keys = cohomology.Stencil.__init__, cohomology.Coordinates.keys
+
+    def counted_build(self, data, k):
+        stencils[k] += 1
+        build(self, data, k)
+
+    def counted_keys(self, k, degree):
+        fed[k, degree] += 1
+        return keys(self, k, degree)
+
+    monkeypatch.setattr(cohomology.Stencil, "__init__", counted_build)
+    monkeypatch.setattr(cohomology.Coordinates, "keys", counted_keys)
+    spec = cli.parse_spec(json.dumps(doc))
+    assert not cli.run_prequantize(spec, spec.window())["prequantizable_in_window"]
+    assert stencils == {0: 1, 1: 1, 2: 1}
+    assert Counter(k for k, degree in fed if degree == 0) == {0: 1, 1: 1, 2: 1}
+    assert set(fed.values()) == {1}
+
+
+@pytest.mark.parametrize("bracket", ["x*(y + 1)^2", "x*(1 + y + 2*y^2)"])
+def test_prequantize_counts_the_table_only_after_a_failed_search(tmp_path, monkeypatch,
+                                                                  bracket):
+    # Both brackets are ungraded: the search takes the 1-cochains of degree
+    # <= D + buffer, the H^2 table one degree more.  At a limit between the
+    # two, the witness of x(y+1)^2, which the Euler route misses, still
+    # prints, and the failed search of x(1+y+2y^2) is refused its table.
+    from logpoisson import cohomology
+
+    doc = {"variables": ["x", "y"], "bracket": {"x,y": bracket}, "log_generators": ["x"],
+           "max_degree": 4}
+    code, unlimited = run_main(["prequantize"], doc, tmp_path)
+    assert code == cli.EXIT_OK
+    spec = cli.parse_spec(json.dumps(doc))
+    data = cli.build_complex(spec, "log-poisson")
+    top = spec.max_degree + spec.window().resolve_buffer(data)
+    limit = cohomology.basis_size(data, 1, top)
+    monkeypatch.setattr(cohomology, "MAX_BASIS_SIZE", limit)
+    code, out, err = run_main_err(["prequantize"], doc, tmp_path)
+    if "witness one-form" in unlimited:
+        assert (code, out, err) == (cli.EXIT_OK, unlimited, "")
+    else:
+        assert (code, out) == (cli.EXIT_PARSE_ERROR, "")
+        assert f"basis 1-cochains of degree <= {top + 1}; the limit is {limit}" in err
+
+
+def assert_prequantize_matches_the_public_routes(P, logvars, max_degree):
+    # the witness and H^2 table of one plan are those of find_primitive and
+    # compute_table run apart
+    spec = cli.ProblemSpec(P.names, tuple((i, j, p) for (i, j), p in sorted(P.table.items())),
+                           tuple(P.variable(v) for v in sorted(logvars)), max_degree)
+    B = LogBasis.from_divisor(P.n, spec.divisor())
+    assume(euler_weights(P, B) is None)
+    doc = cli.run_prequantize(spec, spec.window())
+    data, pi, window = log_poisson_complex(P, B), two_form_cochain(P, B), spec.window()
+    witness = find_primitive(data, pi, window)
+    if witness is None:
+        assert doc["h2_dims"] == compute_table(data, [2], window).dims(2)
+        assert "witness" not in doc
+    else:
+        labels = B.labels(P.names)
+        assert doc["witness"] == [
+            {"form": labels[t[0]], "value": format_poly(p, P.names)}
+            for t, p in sorted(witness.comps.items())
+        ] or [{"form": labels[0], "value": "0"}]
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=log_canonical(), max_degree=st.integers(0, 2))
+def test_prequantize_matches_the_public_routes_on_log_canonical_brackets(case, max_degree):
+    assert_prequantize_matches_the_public_routes(*case, max_degree)
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=polys(1, max_exp=2, max_terms=3), square=st.booleans(),
+       max_degree=st.integers(0, 4))
+def test_prequantize_matches_the_public_routes_on_x_times_g(h, square, max_degree):
+    # {x,y} = x g(y) along x, g = h or h^2; squares are where a witness
+    # exists that the Euler route misses
+    g = Poly(2, {(0, m[0]): c for m, c in h.terms.items()})
+    P = PoissonStructure(XY, {(0, 1): Poly.variable(2, 0) * (g * g if square else g)})
+    assert_prequantize_matches_the_public_routes(P, {0}, max_degree)
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -514,25 +514,34 @@ def test_tables_of_any_ks_are_rows_of_the_full_table():
                 assert table.rows == {k: full.rows[k] for k in ks}, (L.name, ks)
 
 
+def recorded_passes(monkeypatch, skip=True):
+    """Record every pass of the plans that follow as (k, the cocycles it
+    skips, the pass); with skip False, no pass skips any."""
+    feeds = []
+
+    class Recorded(cohomology._Pass):
+        def feed(self, upto):
+            if not skip:
+                self.cocycles.clear()
+            feeds.append((self.k, set(self.cocycles), self))
+            super().feed(upto)
+
+    monkeypatch.setattr(cohomology, "_Pass", Recorded)
+    return feeds
+
+
 def test_a_table_pass_skips_the_pivots_of_the_pass_before(monkeypatch):
     # one frame for every pass, so the keys mean the same cochains
-    calls = []
-    original = cohomology._filtered_pass
-
-    def recorded(data, k, *args, **kwargs):
-        out = original(data, k, *args, **kwargs)
-        calls.append((k, set(kwargs["cocycles"]), set(out[2].rows), out[3]))
-        return out
-
-    monkeypatch.setattr(cohomology, "_filtered_pass", recorded)
+    feeds = recorded_passes(monkeypatch)
     for L in [*worked_complexes(), *mixed_complexes()]:
         for ks in ([L.r], [0, L.r], range(L.r + 1)):
-            calls.clear()
+            feeds.clear()
             compute_table(L, ks, SliceWindow(3, 1))
-            assert calls[0][1] == set()
-            for (j, _, rows, coords), (k, cocycles, _, frame) in zip(calls, calls[1:]):
-                assert frame is coords, (L.name, ks, k)
-                assert cocycles == (rows if k == j + 1 else set()), (L.name, ks, k)
+            assert feeds[0][1] == set()
+            for (j, _, before), (k, cocycles, one) in zip(feeds, feeds[1:]):
+                assert one.coords is before.coords, (L.name, ks, k)
+                assert cocycles == (set(before.ech.rows) if k == j + 1 else set()), \
+                    (L.name, ks, k)
 
 
 def test_full_table_feeds_almost_no_column_that_reduces_to_zero(monkeypatch):
@@ -578,17 +587,6 @@ def test_find_primitive_skips_the_pivots_of_its_lead_pass(monkeypatch):
     # d^0 runs first in the frame of d^1 and hands its pivots on; without
     # the skip the d^1 echelon, and so the witness, is the same
     rng = random.Random(3)
-    calls = []
-    original = cohomology._filtered_pass
-
-    def recorded(data, k, *args, **kwargs):
-        out = original(data, k, *args, **kwargs)
-        calls.append((k, set(kwargs.get("cocycles", ())), out[2].rows, kwargs["coords"]))
-        return out
-
-    def unskipped(data, k, *args, **kwargs):
-        return recorded(data, k, *args, **dict(kwargs, cocycles=()))
-
     for L in [*worked_complexes(), *mixed_complexes()]:
         u = Cochain(1, L.r, L.nvars, {(j,): random_poly(rng, L.nvars, 2, 2) for j in range(L.r)})
         targets = [differential(L, u)]
@@ -597,13 +595,13 @@ def test_find_primitive_skips_the_pivots_of_its_lead_pass(monkeypatch):
             targets.append(Cochain(2, 2, 2, {(0, 1): p2("1")}))
         for target in filter(lambda c: not c.is_zero(), targets):
             answers = []
-            for wrapper in (recorded, unskipped):
-                monkeypatch.setattr(cohomology, "_filtered_pass", wrapper)
-                calls.clear()
-                answers.append((find_primitive(L, target, SliceWindow(3, 1)), calls[1][2]))
-                (lead_k, none, lead_rows, frame), (k, cocycles, _, coords) = calls
-                assert (lead_k, k, none) == (0, 1, set()) and coords is frame, L.name
-                assert cocycles == (set(lead_rows) if wrapper is recorded else set()), L.name
+            for skip in (True, False):
+                feeds = recorded_passes(monkeypatch, skip)
+                witness = find_primitive(L, target, SliceWindow(3, 1))
+                (lead_k, none, lead), (k, cocycles, one) = feeds
+                assert (lead_k, k, none) == (0, 1, set()) and one.coords is lead.coords, L.name
+                assert cocycles == (set(lead.ech.rows) if skip else set()), L.name
+                answers.append((witness, one.ech.rows))
             assert answers[0] == answers[1], (L.name, target)
 
 

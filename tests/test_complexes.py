@@ -41,7 +41,7 @@ from logpoisson.selfcheck import (
     setup_xyz,
     worked_structures,
 )
-from conftest import generated_complexes, polys, random_poly
+from conftest import generated_complexes, log_canonical, polys, random_poly
 from oracle import cochain_value, log_derham_differential, pull_differential
 
 
@@ -139,21 +139,6 @@ def test_frame_matches_direct_on_plane_brackets(f):
     # {x,y} = x*f is Poisson and principal logarithmic along x
     P = PoissonStructure(XY, {(0, 1): Poly.variable(2, 0) * f})
     assert_frame_matches_direct(P, {0})
-
-
-@st.composite
-def log_canonical(draw):
-    """{x_i, x_j} = c_ij x_i x_j on 3 or 4 variables, with a nonempty set
-    of divisor variables; Poisson and principal logarithmic for any c."""
-    n = draw(st.integers(3, 4))
-    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            expo = tuple(int(t in (i, j)) for t in range(n))
-            table[(i, j)] = Poly.monomial(n, expo, draw(coeff))
-    logvars = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    return PoissonStructure("xyzw"[:n], table), logvars
 
 
 @settings(max_examples=25, deadline=None)
