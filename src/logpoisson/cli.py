@@ -47,7 +47,7 @@ from .poisson import (
     UnsupportedDivisor,
     is_log_principal,
 )
-from .poly import ParseError, Poly, format_poly, parse_poly
+from .poly import ParseError, Poly, format_poly, is_variable_name, parse_poly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -121,6 +121,9 @@ def parse_spec(document) -> ProblemSpec:
         raise SpecError("'variables' must be a nonempty list of names")
     if len(set(names)) != len(names):
         raise SpecError("variable names must be unique")
+    for name in names:
+        if not is_variable_name(name):
+            raise SpecError(f"variable name {name!r} cannot be written in a polynomial")
     index = {v: i for i, v in enumerate(names)}
 
     bracket_doc = document.get("bracket", {})

@@ -63,7 +63,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import Cochain, LieRinehartData, differential
 from .logforms import LogBasis
@@ -205,10 +205,10 @@ class Stencil:
     (j, U, shifts) stores, for each monomial of a_{U,j} (j None: of b_U),
     the exponent shift it applies to the source monomial with its
     coefficient.  The coefficients of T are cleared of denominators by one
-    common multiple, scale[T], so columns have integer entries.  max_shift
-    is the largest degree shift of a term.  reach bounds the sources whose
-    image meets F_d by degree d + reach (module docstring); it is None
-    when the terms admit no grading, and 0 when there are none.
+    common multiple, scale[T], so columns have integer entries.  reach
+    bounds the sources whose image meets F_d by degree d + reach (module
+    docstring); it is None when the terms admit no grading, and 0 when
+    there are none.
     """
 
     def __init__(self, data: LieRinehartData, k: int):
@@ -228,8 +228,6 @@ class Stencil:
             self.terms[tup] = [(j, target, _shifts(poly, j, scale))
                                for j, target, poly in parts]
             self.scale[tup] = scale
-        self.max_shift = max((sum(shift) for terms in self.terms.values()
-                              for _, _, shifts in terms for shift, _ in shifts), default=0)
         self.reach = _reach(self.terms, k)
 
     def clamp(self, max_degree: int, limits: Sequence[int]) -> list[int]:
@@ -242,7 +240,8 @@ class Stencil:
     def compile(self, coords: Coordinates) -> Column:
         """The column of scale[T] * d(x^m e_T) for a basis key of coords,
         each term one offset from the source key.  coords must hold the
-        targets: its base above every source degree plus max_shift."""
+        targets: its base above every source degree plus
+        data.degree_shift(), the one sizing rule (_Plan)."""
         groups = {}
         for tup, terms in self.terms.items():
             by_j: dict[Optional[int], list] = {}
@@ -326,7 +325,8 @@ class Echelon:
     Elimination is fraction-free: with a = row[top], b = vec[top] and
     g = gcd(a, b), a step sets vec to (a/g) vec - (b/g) row.  Negative
     keys are bookkeeping coordinates: they sort below every real key, so
-    they ride along in a combination but are never pivots.
+    they ride along in a combination but are never pivots; solve reads
+    the combination of sources they record.
     """
 
     def __init__(self):
@@ -369,6 +369,19 @@ class Echelon:
         self.rows[top] = vec
         return top
 
+    def solve(self, vec: dict[int, int], multiple: int) -> Optional[dict[int, Fraction]]:
+        """{s: x_s} with sum_s x_s col_s / book_s = vec / multiple, or None
+        if the rows cannot reach vec: col_s is the real part of the column
+        of source s, book_s its value at -2 - s, and vec's keys are real.
+        With the marker -1, reduction leaves a * vec - sum_s b_s col_s,
+        the marker M = a * multiple and c = -b_s book_s at -2 - s, so
+        x_s = -c / M once no real key is left."""
+        residual = self.reduce({**vec, -1: multiple})
+        if max(residual) >= 0:
+            return None
+        multiple = residual.pop(-1)
+        return {-2 - key: Fraction(-c, multiple) for key, c in residual.items()}
+
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -377,37 +390,30 @@ class Echelon:
 class _Pass:
     """The one elimination of d^k, its columns fed in degree order.
 
-    feed(upto) feeds the sources of degree <= upto not fed yet, so a pass
-    can stop and go on.  After degree d <= max_degree, kernel[d] is
-    dim(ker d^k meet F_d), columns minus rank; after each clamped source
-    limit L, images[L] lists dim(im meet F_d) for d = 0..max_degree from
-    the sources of degree <= L.  Pivoting at the largest
-    (degree-compatible) key makes the span readable per degree: its
-    intersection with F_d has one basis row per pivot of degree <= d.
-    Given target_degree, the base also holds keys of that degree and the
-    column of source s carries the bookkeeping coordinate -2 - s with
-    value scale[T], recording which combination of sources a row is.
-    Given coords, the pass packs in them; their base must hold every
-    source and target.  Sources at the keys in cocycles, pivots of the
-    d^(k-1) pass in the same coords, are counted but not fed: their
-    columns would store no row (module docstring).
+    _Pass(plan, k) takes max_degree = plan.D, the limits plan.limits[k]
+    clamped and the coordinates from its plan.  feed(upto) feeds the
+    sources of degree <= upto not fed yet, so a pass can stop and go on.
+    After degree d <= max_degree, kernel[d] is dim(ker d^k meet F_d),
+    columns minus rank; after each clamped source limit L, images[L]
+    lists dim(im meet F_d) for d = 0..max_degree from the sources of
+    degree <= L.  Pivoting at the largest (degree-compatible) key makes
+    the span readable per degree: its intersection with F_d has one basis
+    row per pivot of degree <= d.  In the pass the plan tracks, the column
+    of source s carries the bookkeeping coordinate -2 - s with value
+    scale[T], which Echelon.solve reads.  Sources at the keys in
+    cocycles, pivots of the d^(k-1) pass that the plan hands on, are
+    counted but not fed: their columns would store no row (module
+    docstring).
     """
 
-    def __init__(self, data: LieRinehartData, k: int, max_degree: int,
-                 image_limits: Sequence[int] = (), target_degree: Optional[int] = None,
-                 coords: Optional[Coordinates] = None, cocycles: Collection[int] = ()):
-        self.stencil = stencil = Stencil(data, k)
-        self.limits = stencil.clamp(max_degree, image_limits)
-        self.top = max((max_degree, *self.limits))
-        base = max(self.top + max(stencil.max_shift, 0), target_degree or 0) + 1
-        if coords is None:
-            coords = Coordinates(data, base)
-        elif coords.base < base:
-            raise ValueError(f"coordinates of base {coords.base} cannot hold degree {base - 1}")
-        self.k, self.max_degree, self.coords, self.cocycles = k, max_degree, coords, cocycles
-        self.tracked = target_degree is not None
-        self.column, self.ech = stencil.compile(coords), Echelon()
-        self.pivots = [0] * (max_degree + 1)
+    def __init__(self, plan: _Plan, k: int):
+        self.stencil = stencil = Stencil(plan.data, k)
+        self.limits = stencil.clamp(plan.D, plan.limits[k])
+        self.top = max((plan.D, *self.limits))
+        self.k, self.max_degree, self.coords, self.cocycles = k, plan.D, plan.coords, set()
+        self.tracked = k == plan.tracked
+        self.column, self.ech = stencil.compile(plan.coords), Echelon()
+        self.pivots = [0] * (plan.D + 1)
         self.kernel: list[int] = []
         self.images: dict[int, list[int]] = {}
         self.sources, self.fed = 0, -1
@@ -436,13 +442,6 @@ class _Pass:
 
     def counts(self) -> tuple[list[int], list[list[int]]]:
         return self.kernel, [self.images[limit] for limit in self.limits]
-
-
-def _filtered_pass(*args, **kwargs) -> tuple[list[int], list[list[int]], Echelon, Coordinates]:
-    """A whole _Pass: kernel dims, image dims per limit, echelon, coordinates."""
-    one = _Pass(*args, **kwargs)
-    one.feed(one.top)
-    return (*one.counts(), one.ech, one.coords)
 
 
 @dataclass(frozen=True)
@@ -494,12 +493,14 @@ class _Plan:
     (module docstring).
 
     d^j gives the kernel at j and, with the source limits D + buffer and
-    D + buffer + 1, the image at j + 1.  One Coordinates holds every pass,
-    since degree_shift bounds each stencil's max_shift, and the target:
-    the pivot keys of d^(j-1) are source keys of d^j as they stand.  Each
-    pass, and so each stencil, is built once.  A search counts its bases
-    before it builds any, and table() counts its own before it feeds any,
-    so a table after a search refuses the windows compute_table refuses.
+    D + buffer + 1, the image at j + 1.  The plan alone builds and sizes
+    the passes, as _Pass(plan, j).  One Coordinates holds every pass,
+    since data.degree_shift() bounds every stencil term's degree shift,
+    and the target: the pivot keys of d^(j-1) are source keys of d^j as
+    they stand.  Each pass, and so each stencil, is built once.  A search
+    counts its bases before it builds any, and table() counts its own
+    before it feeds any, so a table after a search refuses the windows
+    compute_table refuses.  Echelon.solve reads a search's witness.
     """
 
     def __init__(self, data: LieRinehartData, ks: Iterable[int], window: SliceWindow,
@@ -525,9 +526,7 @@ class _Plan:
         so far are its known cocycles."""
         one = self.passes.get(j)
         if one is None:
-            one = self.passes[j] = _Pass(
-                self.data, j, self.D, self.limits[j], self.degree if j == self.tracked else None,
-                coords=self.coords, cocycles=set())
+            one = self.passes[j] = _Pass(self, j)
         if j - 1 in self.passes:
             one.cocycles.update(self.passes[j - 1].ech.rows)
         return one
@@ -580,22 +579,19 @@ class _Plan:
             self.pass_of(k - 2).feed(limit)
         tracked = self.pass_of(k - 1)
         tracked.feed(limit)
-        # the target, cleared of denominators, with the marker -1 for its multiple
+        # the target, cleared of denominators by the multiple clear
         terms = [(tup, mono, c) for tup, poly in cochain.comps.items()
                  for mono, c in poly.terms.items()]
         clear = lcm(*(c.denominator for *_, c in terms))
         target = {self.coords.pack((sum(mono), tup, mono)): c.numerator * (clear // c.denominator)
                   for tup, mono, c in terms}
-        target[-1] = clear
-        residual = tracked.ech.reduce(target)
-        if max(residual) >= 0:
+        solution = tracked.ech.solve(target, clear)
+        if solution is None:
             return None
-        # residual = m * cochain - d(u) with bookkeeping -u and marker m
-        multiple = residual.pop(-1)
         comps: dict[tuple[int, ...], dict] = {}
-        for key, c in residual.items():
-            _, tup, mono = self.coords.unpack(-2 - key, k - 1)
-            comps.setdefault(tup, {})[mono] = Fraction(-c, multiple)
+        for src, c in solution.items():
+            _, tup, mono = self.coords.unpack(src, k - 1)
+            comps.setdefault(tup, {})[mono] = c
         witness = Cochain(k - 1, data.r, data.nvars,
                           {tup: Poly(data.nvars, comp) for tup, comp in comps.items()})
         if differential(data, witness) != cochain:
@@ -605,6 +601,8 @@ class _Plan:
     def euler(self, structure: PoissonStructure, basis: LogBasis) -> Optional[Cochain]:
         """euler_primitive of the target, gated by the search's sizing."""
         pi = self.target
+        if pi.k != 2:
+            raise ValueError("the Euler route takes a 2-cochain")
         if pi.is_zero():
             return None
         self.search_limit()  # the window gate
@@ -678,11 +676,10 @@ def euler_weights(structure: PoissonStructure, basis: LogBasis) -> Optional[list
     term x^m of every stored {x_i, x_j}, or None when there are none.
 
     Then every {x_i, x_j} is quasi-homogeneous of weight w_i + w_j - 1.
-    The system is solved as find_primitive solves d(v) = cochain: the
-    column of w_l carries the bookkeeping key -2 - l with value 1, the
-    right-hand side the marker -1, and what is left of it after reduction
-    is bookkeeping only exactly when w exists.  The columns of the log
-    variables go first, and a column that stores no row keeps weight 0.
+    The system is solved as find_primitive solves d(v) = cochain, by
+    Echelon.solve: the column of w_l carries the bookkeeping key -2 - l
+    with value 1.  The columns of the log variables go first, and a
+    column that stores no row keeps weight 0.
     """
     n = structure.n
     equations = sorted({tuple(e - (l == i) - (l == j) for l, e in enumerate(mono))
@@ -692,14 +689,10 @@ def euler_weights(structure: PoissonStructure, basis: LogBasis) -> Optional[list
         column = {row: eq[l] for row, eq in enumerate(equations) if eq[l]}
         column[-2 - l] = 1
         ech.insert(column)
-    residual = ech.reduce({**dict.fromkeys(range(len(equations)), -1), -1: 1})
-    if max(residual) >= 0:
+    solution = ech.solve(dict.fromkeys(range(len(equations)), -1), 1)
+    if solution is None:
         return None
-    multiple = residual.pop(-1)
-    weights = [Fraction(0)] * n
-    for key, c in residual.items():
-        weights[-2 - key] = Fraction(-c, multiple)
-    return weights
+    return [solution.get(l, Fraction(0)) for l in range(n)]
 
 
 def euler_primitive(structure: PoissonStructure, basis: LogBasis, data: LieRinehartData,
@@ -716,6 +709,6 @@ def euler_primitive(structure: PoissonStructure, basis: LogBasis, data: LieRineh
     refuses passes this route.  Returns None, leaving the answer to
     find_primitive, when pi is zero, when no weights exist (e is 0 for
     every grading, as on log-canonical brackets), or when theta's degree
-    exceeds D + buffer.
+    exceeds D + buffer.  Raises ValueError unless pi is a 2-cochain.
     """
     return _Plan(data, [pi.k], window, pi).euler(structure, basis)

@@ -476,6 +476,15 @@ class _Parser:
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", at)
 
 
+def is_variable_name(text: str) -> bool:
+    """Whether text is one name token, so that parse_poly, given text
+    among the names, reads it back as its own variable."""
+    try:
+        return _tokenize(text)[:-1] == [("name", text, 0)]
+    except ParseError:
+        return False
+
+
 def parse_poly(text: str, names: Sequence[str]) -> Poly:
     """Parse the textual syntax, e.g. ``x^2*y - 3/2*z``.
 

@@ -20,7 +20,7 @@ from logpoisson.cohomology import (
 from logpoisson.complexes import log_poisson_complex, two_form_cochain
 from logpoisson.logforms import LogBasis
 from logpoisson.poisson import PoissonStructure
-from logpoisson.poly import MAX_POWER_DEGREE, MAX_TERMS, Poly, format_poly, parse_poly
+from logpoisson.poly import MAX_POWER_DEGREE, MAX_TERMS, ParseError, Poly, format_poly, parse_poly
 from logpoisson.selfcheck import XY
 from conftest import ROOT, log_canonical, polys, src_env
 
@@ -544,6 +544,24 @@ def test_non_string_polynomials_are_rejected(tmp_path, doc, field):
     assert code == cli.EXIT_PARSE_ERROR
     assert out == ""
     assert f"{field}: expected a polynomial string, got int" in err
+
+
+@pytest.mark.parametrize("name", ["1", "x,y", "x y", "+", " x", "(x)", "x1", "_t", "é"])
+def test_a_variable_name_must_read_back_as_its_variable(tmp_path, name):
+    # "1" would read as the constant 1; "x,y", "x y" and "+" cannot be a
+    # bracket key
+    try:
+        written = parse_poly(name, [name, "y"]) == Poly.variable(2, 0)
+    except ParseError:
+        written = False
+    assert written == (name in ("x1", "_t", "é"))
+    doc = {"variables": [name, "y"], "max_degree": 2}
+    if written:
+        assert cli.parse_spec(json.dumps(doc)).variables == (name, "y")
+    else:
+        code, out, err = run_main_err(["check"], doc, tmp_path)
+        assert (code, out) == (cli.EXIT_PARSE_ERROR, "")
+        assert f"variable name {name!r} cannot be written" in err
 
 
 @pytest.mark.parametrize("field", ["max_degree", "buffer"])

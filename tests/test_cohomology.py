@@ -16,8 +16,8 @@ from logpoisson.cohomology import (
     Echelon,
     SliceWindow,
     Stencil,
+    _Plan,
     _degree_rows,
-    _filtered_pass,
     basis_size,
     compare_tables,
     compute_table,
@@ -82,19 +82,18 @@ def test_pass_of_d0_keeps_only_the_constants():
     # constants are closed, so the ranks are 0 and 2
     P, B = setup_x()
     L = log_poisson_complex(P, B)
-    kernel, images, ech, _ = _filtered_pass(L, 0, 1)
-    assert ech.rank == 2
+    one = _Plan(L, [0], SliceWindow(1)).pass_of(0)
+    one.feed(one.top)
+    assert one.ech.rank == 2
     assert [basis_size(L, 0, d) for d in (0, 1)] == [1, 3]
-    assert kernel == [1, 1] and images == []
+    assert one.counts() == ([1, 1], [])
 
 
 def test_pass_beyond_the_top_cochain_degree_is_empty():
+    # no plan takes k beyond the top cochain degree
     P, B = setup_x()
     L = log_poisson_complex(P, B)
-    # k beyond the basis size
     assert basis_size(L, 3, 4) == 0 and basis_keys(L, 3, 4) == []
-    kernel, images, ech, _ = _filtered_pass(L, 3, 4, [4])
-    assert (kernel, images, ech.rank) == ([0] * 5, [[0] * 5], 0)
     assert Stencil(L, 3).terms == {}
 
 
@@ -107,7 +106,7 @@ def assert_stencil_matches_engine(L, max_degree):
     basis cochain."""
     for k in range(L.r + 1):
         stencil = Stencil(L, k)
-        coords = Coordinates(L, max_degree + max(stencil.max_shift, 0) + 1)
+        coords = Coordinates(L, max_degree + L.degree_shift() + 1)
         compiled = stencil.compile(coords)
         for d in range(max_degree + 1):
             for src, tup, mono in coords.keys(k, d):
@@ -147,7 +146,7 @@ def test_stencil_is_read_off_the_engine(monkeypatch):
     monkeypatch.setattr(cohomology, "differential", counted)
     stencil = Stencil(L, 1)
     assert calls == [1] * 3
-    coords = Coordinates(L, 3 + stencil.max_shift + 1)
+    coords = Coordinates(L, 3 + L.degree_shift() + 1)
     column = stencil.compile(coords)
     for d in range(4):
         for src, tup, mono in coords.keys(1, d):
@@ -232,14 +231,48 @@ def test_echelon_ranks_match_dense_elimination(cols):
         assert gcd(*row.values()) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(cols=sparse_columns(), data=st.data())
+def test_echelon_solve_matches_dense_elimination(cols, data):
+    # the column of source s carries the bookkeeping key -2 - s with its
+    # multiple, so solve reads coefficients of the rational columns
+    ech = Echelon()
+    for s, column in enumerate(cols):
+        scale = lcm(*(c.denominator for c in column.values()))
+        ech.insert({**integer_multiple(column), -2 - s: scale})
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    coeffs = data.draw(st.lists(rational, min_size=len(cols), max_size=len(cols)))
+    combination = {key: sum(x * c.get(key, 0) for x, c in zip(coeffs, cols))
+                   for key in ECHELON_KEYS}
+    other = data.draw(st.dictionaries(st.sampled_from(ECHELON_KEYS), rational, max_size=5))
+
+    def dense(vecs):
+        return oracle.dense_rank([[v.get(key, Fraction(0)) for key in ECHELON_KEYS]
+                                  for v in vecs])
+
+    for vec in (combination, other):
+        vec = {key: c for key, c in vec.items() if c}
+        multiple = lcm(*(c.denominator for c in vec.values()))
+        solution = ech.solve({key: int(c * multiple) for key, c in vec.items()}, multiple)
+        # a combination of the columns never raises the rank
+        assert (solution is None) == (dense(cols + [vec]) > dense(cols))
+        if solution is not None:
+            assert set(solution) <= set(range(len(cols)))
+            rebuilt = {key: sum(x * cols[s].get(key, 0) for s, x in solution.items())
+                       for key in ECHELON_KEYS}
+            assert {key: c for key, c in rebuilt.items() if c} == vec
+
+
 def test_rank_nullity_against_dense_oracle():
     P, B = setup_x2()
     L = log_poisson_complex(P, B)
     dense = oracle.ex2_log()
+    plan = _Plan(L, [0, 1], SliceWindow(4))
     for k in (0, 1):
-        kernel, *_ = _filtered_pass(L, k, 4)
+        one = plan.pass_of(k)
+        one.feed(4)
         for d in (0, 2, 4):
-            rank = basis_size(L, k, d) - kernel[d]
+            rank = basis_size(L, k, d) - one.kernel[d]
             ambient = dense.coords(k + 1, d + 6)
             rows = dense.image_rows(k, d, ambient)
             assert rank == oracle.dense_rank(rows)
@@ -416,7 +449,7 @@ def unclamped_pass(L, k, D, top):
     """Kernel dims of d^k in F_0..F_D, and after each source degree up to
     top the image pivots of degree <= d, from every source: no bound."""
     stencil = Stencil(L, k)
-    coords = Coordinates(L, top + max(stencil.max_shift, 0) + 1)
+    coords = Coordinates(L, top + L.degree_shift() + 1)
     column, ech = stencil.compile(coords), Echelon()
     pivots, kernel, images, sources = [0] * (D + 1), [], [], 0
     for d in range(top + 1):
@@ -482,25 +515,29 @@ def test_reach_is_none_on_mixed_degree_brackets():
 # -- skipping known cocycles ---------------------------------------------------
 
 
-def test_skipping_known_cocycles_changes_no_row():
-    # the pivots of d^(k-1) are cocycles of d^k whose columns reduce to zero
+def test_skipping_known_cocycles_changes_no_row(monkeypatch):
+    # the pivots of d^(k-1) are cocycles of d^k whose columns reduce to
+    # zero; the last pass of a table takes sources only up to D
     skipped = 0
     for L in [*graded_complexes(), *mixed_complexes()]:
-        D = 4 if L.nvars == 2 else 3
-        limits = (D + 1, D + 2)
-        coords = Coordinates(L, D + 3 + L.degree_shift())
-        for k in range(1, L.r + 1):
-            pivots = set(_filtered_pass(L, k - 1, D, limits, coords=coords)[2].rows)
-            # the last pass of a table takes sources only up to D
-            for own_limits in (limits, ()):
-                kernel, images, ech, _ = _filtered_pass(L, k, D, own_limits, coords=coords)
-                skip = _filtered_pass(L, k, D, own_limits, coords=coords, cocycles=pivots)
-                assert (skip[0], skip[1]) == (kernel, images), (L.name, k, own_limits)
-                assert skip[2].rows == ech.rows, (L.name, k, own_limits)
-            skipped += len(pivots)
+        window = SliceWindow(4 if L.nvars == 2 else 3, 1)
+        runs = []
+        for skip in (True, False):
+            feeds = recorded_passes(monkeypatch, skip)
+            compute_table(L, range(L.r + 1), window)
+            runs.append([(k, one.counts(), one.ech.rows) for k, _, one in feeds])
+            skipped += sum(len(cocycles) for _, cocycles, _ in feeds)
+        assert runs[0] == runs[1], L.name
     assert skipped
-    with pytest.raises(ValueError, match="cannot hold"):
-        _filtered_pass(L, 1, D, limits, coords=Coordinates(L, D + 2))
+
+
+def test_degree_shift_bounds_every_stencil_term():
+    # the one rule that sizes the coordinates of a plan
+    for L in [*graded_complexes(), *mixed_complexes()]:
+        for k in range(L.r + 1):
+            shifts = [sum(shift) for terms in Stencil(L, k).terms.values()
+                      for _, _, shifts in terms for shift, _ in shifts]
+            assert max(shifts, default=0) <= L.degree_shift(), (L.name, k)
 
 
 def test_tables_of_any_ks_are_rows_of_the_full_table():
@@ -676,6 +713,13 @@ def test_euler_primitive_sizes_the_window_first():
     P, B, L, pi = euler_inputs(PoissonStructure(XY, {(0, 1): p2("x")}), [p2("x")])
     with pytest.raises(cohomology.WindowTooLarge):
         euler_primitive(P, B, L, pi, SliceWindow(100_000))
+
+
+def test_euler_primitive_takes_only_two_cochains():
+    P, B, L, _ = euler_inputs(PoissonStructure(XY, {(0, 1): p2("x")}), [p2("x")])
+    for cochain in (Cochain(0, 2, 2, {(): p2("x")}), Cochain(1, 2, 2, {(1,): p2("y")})):
+        with pytest.raises(ValueError, match="2-cochain"):
+            euler_primitive(P, B, L, cochain, SliceWindow(4))
 
 
 def test_euler_primitive_verifies_its_witness(monkeypatch):

@@ -154,7 +154,7 @@ def assert_packing_matches_keys(L, max_degree):
     compiled column, packing round-trips and orders like the tuples."""
     for k in range(L.r + 1):
         stencil = Stencil(L, k)
-        coords = Coordinates(L, max_degree + max(stencil.max_shift, 0) + 1)
+        coords = Coordinates(L, max_degree + L.degree_shift() + 1)
         column = stencil.compile(coords)
         sources, targets = [], set()
         for d in range(max_degree + 1):
