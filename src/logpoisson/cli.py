@@ -14,13 +14,14 @@ Bracket keys name unordered generator pairs ("x,y" and "y,x" denote the
 same pair; the value is the bracket of the named variables in the order
 written).  Omitted pairs are zero.  Exit codes: 0 success, 1 check
 failure, 2 parse error or a window past the basis limit, 3 internal
-invariant violation.
+invariant violation, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 COMPLEX_KINDS = ("poisson", "log-poisson", "log-derham")
 
@@ -439,7 +441,21 @@ def _read_input(path: str) -> str:
 
 
 def _emit(doc: dict, fmt: str, render) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True) if fmt == "json" else render(doc))
+    # flushed, so that a closed stdout fails inside main, not at exit
+    print(json.dumps(doc, indent=2, sort_keys=True) if fmt == "json" else render(doc),
+          flush=True)
+
+
+def _drop_stdout() -> None:
+    # point stdout at devnull, as the Python docs advise on SIGPIPE, so
+    # that the flush at exit cannot fail again
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 @cache
@@ -503,7 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"{'pass' if r.ok else 'FAIL'}  {r.name}  ({r.cases} cases){detail}")
             ok = all(r.ok for r in results)
             print(f"selftest: {len(results)} suites, "
-                  f"{'all passed' if ok else 'FAILURES PRESENT'}")
+                  f"{'all passed' if ok else 'FAILURES PRESENT'}", flush=True)
             return EXIT_OK if ok else EXIT_CHECK_FAILED
 
         spec = parse_spec(_read_input(args.input))
@@ -531,6 +547,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _emit(table_to_json_dict(table), args.format,
                   lambda _: table_to_text(table))
         return EXIT_OK
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: no message, and the
+        # status a shell gives a process killed by SIGPIPE
+        _drop_stdout()
+        return EXIT_BROKEN_PIPE
     except (SpecError, ParseError, OSError, WindowTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -53,7 +53,9 @@ ordered int (see Coordinates) whose order is the tuple order, so it is
 degree-compatible and "reduce at the largest key" yields a basis whose
 pivot degrees read off the filtered intersection dimensions.  Columns are
 integer multiples of the differential's columns; a nonzero multiple spans
-the same line, so no rank or pivot changes.
+the same line, so no rank or pivot changes.  A compiled column holds one
+affine form c0 + sum_j c_j m_j per offset from its source key
+(Stencil.compile), where it is nonzero at m.
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ class Coordinates:
         self.tuples = [list(combinations(range(data.r), k)) for k in range(data.r + 1)]
         self.rank = {tup: i for tuples in self.tuples for i, tup in enumerate(tuples)}
         self.places = [base ** (data.nvars - 1 - i) for i in range(data.nvars)]
+        self.codes: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
 
     def _code(self, mono: Sequence[int]) -> int:
         return sum(map(mul, mono, self.places))
@@ -172,9 +175,6 @@ class Coordinates:
             mono.append(e)
         return d, self.tuples[k][rank], tuple(mono)
 
-    def degree(self, code: int) -> int:
-        return code // self.stride
-
     def offset(self, source: tuple[int, ...], target: tuple[int, ...],
                shift: Sequence[int]) -> int:
         """pack(d + |s|, target, m + s) - pack(d, source, m) for every m."""
@@ -183,9 +183,13 @@ class Coordinates:
 
     def keys(self, k: int, degree: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
         """(packed key, T, m) for the basis k-cochains x^m e_T of the
-        given degree, in ascending order."""
-        monos = [(self._code(m), m) for m in reversed(monomials_of_degree(self.nvars, degree))]
-        for tup in combinations(range(self.r), k):
+        given degree, in ascending order; none for k > r.  Each degree's
+        (code, m) list is built once."""
+        monos = self.codes.get(degree)
+        if monos is None:
+            monos = self.codes[degree] = [
+                (self._code(m), m) for m in reversed(monomials_of_degree(self.nvars, degree))]
+        for tup in self.tuples[k] if k <= self.r else ():
             start = (degree << self.r | self.rank[tup]) * self.block
             for code, mono in monos:
                 yield start + code, tup, mono
@@ -239,32 +243,35 @@ class Stencil:
 
     def compile(self, coords: Coordinates) -> Column:
         """The column of scale[T] * d(x^m e_T) for a basis key of coords,
-        each term one offset from the source key.  coords must hold the
+        each term one offset from the source key, and the terms at one
+        offset merged into one affine form in m.  coords must hold the
         targets: its base above every source degree plus
         data.degree_shift(), the one sizing rule (_Plan)."""
-        groups = {}
+        forms = {}
         for tup, terms in self.terms.items():
-            by_j: dict[Optional[int], list] = {}
+            # the entry at an offset is c0 + sum_j c_j m_j: d/dx_j of x^m is
+            # m_j x^(m - e_j), the shift absorbing x_j^-1, and j None is b
+            by_offset: dict[int, dict[Optional[int], int]] = {}
             for j, target, shifts in terms:
-                by_j.setdefault(j, []).extend(
-                    (coords.offset(tup, target, shift), coeff) for shift, coeff in shifts)
-            groups[tup] = tuple(by_j.items())
+                for shift, coeff in shifts:
+                    form = by_offset.setdefault(coords.offset(tup, target, shift), {})
+                    form[j] = form.get(j, 0) + coeff
+            merged = []
+            for offset, form in by_offset.items():
+                c0 = form.pop(None, 0)
+                linear = tuple((j, c) for j, c in form.items() if c)
+                if c0 or linear:
+                    merged.append((offset, c0, linear))
+            forms[tup] = tuple(merged)
 
         def column(src: int, tup: tuple[int, ...], mono: tuple[int, ...]) -> dict[int, int]:
-            vec: dict[int, int] = {}
-            get = vec.get
-            for j, entries in groups[tup]:
-                if j is None:
-                    scale = 1
-                else:
-                    # d/dx_j of x^m: m_j x^(m - e_j), absorbed by the shift
-                    scale = mono[j]
-                    if not scale:
-                        continue
-                for offset, coeff in entries:
-                    at = src + offset
-                    vec[at] = get(at, 0) + coeff * scale
-            return {at: c for at, c in vec.items() if c}
+            vec = {}
+            for offset, c, linear in forms[tup]:
+                for j, cj in linear:
+                    c += cj * mono[j]
+                if c:
+                    vec[src + offset] = c
+            return vec
 
         return column
 
@@ -356,16 +363,21 @@ class Echelon:
 
     def insert(self, vec: dict[int, int]) -> Optional[int]:
         """Reduce and store; returns the new pivot key, or None when the
-        vector was already in the row space (up to bookkeeping)."""
-        vec = self.reduce(vec)
-        top = max(vec, default=-1)
+        vector was already in the row space (up to bookkeeping).  vec is
+        never changed: it is copied when a row reduces it or its content
+        is divided out, and otherwise stored as it is."""
+        top = max(vec) if vec else -1
+        if top in self.rows:
+            vec = self.reduce(vec)
+            top = max(vec) if vec else -1
         if top < 0:
             return None
         content = gcd(*vec.values())
         if vec[top] < 0:
             content = -content
         if content != 1:
-            vec = {key: val // content for key, val in vec.items()}
+            # a single entry divides to 1
+            vec = {key: val // content for key, val in vec.items()} if len(vec) > 1 else {top: 1}
         self.rows[top] = vec
         return top
 
@@ -423,6 +435,7 @@ class _Pass:
             self.k, self.max_degree, self.coords, self.column, self.ech, self.cocycles,
             self.pivots, self.stencil.scale, self.tracked)
         kernel, images, limits, sources = self.kernel, self.images, self.limits, self.sources
+        stride = coords.stride
         for d in range(self.fed + 1, upto + 1):
             for src, tup, mono in coords.keys(k, d):
                 sources += 1
@@ -432,8 +445,10 @@ class _Pass:
                 if tracked:
                     vec[-2 - src] = scale[tup]
                 piv = ech.insert(vec) if vec else None
-                if piv is not None and coords.degree(piv) <= max_degree:
-                    pivots[coords.degree(piv)] += 1
+                if piv is not None:
+                    degree = piv // stride
+                    if degree <= max_degree:
+                        pivots[degree] += 1
             if d <= max_degree:
                 kernel.append(sources - ech.rank)
             if d in limits:

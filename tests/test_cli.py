@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -162,6 +163,27 @@ def test_check_reads_stdin_through_the_module_entry_point(tmp_path):
                           env=src_env(), timeout=60)
     assert done.returncode == cli.EXIT_OK
     assert (done.returncode, done.stdout) == run_main(["check", "--input", str(path)])
+
+
+def test_a_closed_stdout_exits_141_in_silence(tmp_path):
+    # a reader that closed the pipe, as `| head` does, is not a parse
+    # error; a missing input file still is, with its message
+    path = ROOT / "demos" / "inputs" / "bracket_x.json"
+    for argv, code, message in (
+            (["cohomology", "--input", str(path), "--format", "json"], cli.EXIT_BROKEN_PIPE, ""),
+            (["selftest"], cli.EXIT_BROKEN_PIPE, ""),
+            (["check", "--input", str(tmp_path / "missing.json")], cli.EXIT_PARSE_ERROR,
+             "error: [Errno 2] No such file or directory")):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "logpoisson.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  env=src_env(), timeout=60)
+        finally:
+            os.close(write)
+        assert done.returncode == code, argv
+        assert done.stderr.startswith(message) and bool(done.stderr) == bool(message), argv
 
 
 def test_cohomology_command_table(tmp_path):
