@@ -67,7 +67,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .complexes import Cochain, LieRinehartData, differential
+from .complexes import Cochain, LieRinehartData, add_term, differential
 from .logforms import LogBasis
 from .poisson import PoissonStructure
 from .poly import Poly, monomials_of_degree
@@ -203,35 +203,32 @@ class Stencil:
     """The differential on k-cochains, compiled for monomial basis cochains.
 
     The differential is first order in the coefficient of a cochain:
-    d(f e_T)_U = sum_j a_{U,j} df/dx_j + b_U f, with b = d(1 e_T) from the
-    generic engine and a_{U,j} = (-1)^pos anchors[i].coeffs[j] for each
-    (i, U, pos) of data.anchor_targets(T), where d puts anchor i.  A term
-    (j, U, shifts) stores, for each monomial of a_{U,j} (j None: of b_U),
-    the exponent shift it applies to the source monomial with its
-    coefficient.  The coefficients of T are cleared of denominators by one
-    common multiple, scale[T], so columns have integer entries.  reach
-    bounds the sources whose image meets F_d by degree d + reach (module
-    docstring); it is None when the terms admit no grading, and 0 when
-    there are none.
+    d(f e_T)_U = sum_j a_{U,j} df/dx_j + b_U f, read off where differential
+    puts its terms: b_U = d(1 e_T)_U sums (-1)^power c over each (U, power, c)
+    of data.bracket_targets(T), and a_{U,j} = (-1)^pos anchors[i].coeffs[j]
+    for each (i, U, pos) of data.anchor_targets(T).  A term (j, U, shifts)
+    stores, for each monomial of a_{U,j} (j None: of b_U), the exponent
+    shift it applies to the source monomial with its coefficient.  The
+    coefficients of T are cleared of denominators by one common multiple,
+    scale[T], so columns have integer entries.  reach bounds the sources
+    whose image meets F_d by degree d + reach (module docstring); it is None
+    when the terms admit no grading, and 0 when there are none.
     """
 
     def __init__(self, data: LieRinehartData, k: int):
         self.terms: dict[tuple[int, ...], list] = {}
         self.scale: dict[tuple[int, ...], int] = {}
-        n = data.nvars
-        one = Poly.const(n, 1)
         for tup in combinations(range(data.r), k):
-            b = differential(data, Cochain(k, data.r, n, {tup: one}))
-            parts = [(None, target, poly) for target, poly in b.comps.items()]
+            b: dict[tuple[int, ...], Poly] = {}
+            for target, power, c in data.bracket_targets(tup):
+                add_term(b, target, power, c)
+            parts = [(None, target, 0, poly) for target, poly in b.items() if poly]
             for i, target, pos in data.anchor_targets(tup):
-                for j, c in enumerate(data.anchors[i].coeffs):
-                    if c:
-                        parts.append((j, target, -c if pos % 2 else c))
-            scale = lcm(*(c.denominator for _, _, poly in parts
-                          for c in poly.terms.values()))
-            self.terms[tup] = [(j, target, _shifts(poly, j, scale))
-                               for j, target, poly in parts]
-            self.scale[tup] = scale
+                parts += [(j, target, pos, c) for j, c in enumerate(data.anchors[i].coeffs) if c]
+            self.scale[tup] = scale = lcm(*(c.denominator for *_, poly in parts
+                                            for c in poly.terms.values()))
+            self.terms[tup] = [(j, target, _shifts(poly, j, -scale if power % 2 else scale))
+                               for j, target, power, poly in parts]
         self.reach = _reach(self.terms, k)
 
     def clamp(self, max_degree: int, limits: Sequence[int]) -> list[int]:
@@ -313,8 +310,8 @@ def _reach(terms: dict[tuple[int, ...], list], k: int) -> Optional[int]:
 
 
 def _shifts(poly: Poly, j: Optional[int], scale: int) -> tuple:
-    # (exponent shift, integer coefficient) per monomial; a term with j
-    # also divides by x_j, which the source's x_j^(m_j) absorbs
+    # (exponent shift, integer coefficient) per monomial of scale * poly; a
+    # term with j also divides by x_j, which the source's x_j^(m_j) absorbs
     out = []
     for mono, coeff in poly.terms.items():
         shift = list(mono)

@@ -69,6 +69,21 @@ class LieRinehartData:
                 out.append((i, tup[:pos] + (i,) + tup[pos:], pos))
         return out
 
+    def bracket_targets(self, tup: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, Poly]]:
+        """(U, power, c) for each l at position q of tup and each pair a < b
+        outside rest = tup - {l} whose bracket has coefficient c at l:
+        d puts (-1)^power c on U = rest + {a, b}, power = q + pos_U(a) + pos_U(b)."""
+        out = []
+        for q, l in enumerate(tup):
+            rest = tup[:q] + tup[q + 1:]
+            for (a, b), vec in self.sc.items():
+                c = vec[l]
+                if c and a not in rest and b not in rest:
+                    pa, pb = bisect(rest, a), bisect(rest, b)  # a < b: b sits at pb + 1 in U
+                    out.append((rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:],
+                                q + pa + pb + 1, c))
+        return out
+
     def anchor(self, alpha: OneForm) -> Derivation:
         """sum_i alpha_i anchors[i]."""
         total = [_trusted(self.nvars, {})] * self.nvars
@@ -157,6 +172,14 @@ class Cochain:
         return f"Cochain(k={self.k}, comps={self.comps!r})"
 
 
+def add_term(out: dict, target: tuple[int, ...], power: int, term: Poly) -> None:
+    """out[target] += (-1)^power term; a zero term adds no target."""
+    if not term:
+        return
+    term = -term if power % 2 else term
+    out[target] = out[target] + term if target in out else term
+
+
 def differential(data: LieRinehartData, cochain: Cochain) -> Cochain:
     """The Lie-Rinehart differential.
 
@@ -166,11 +189,9 @@ def differential(data: LieRinehartData, cochain: Cochain) -> Cochain:
     where the bracket argument expands A-linearly through the structure
     constants.  A top-degree cochain maps to the zero cochain.
 
-    The sums are pushed from the components f on T: each index i not in
-    T adds (-1)^pos_U(i) anchor(i)(f) to U = T + {i}, and each l in T at
-    position q, with each pair a < b outside T - {l} whose bracket has
-    coefficient c at l, adds (-1)^(q + pos_U(a) + pos_U(b)) c f to
-    U = T - {l} + {a, b}.
+    The sums are pushed from the components f on T, with their signs, to
+    the targets of data.anchor_targets(T), anchor(i)(f), and of
+    data.bracket_targets(T), c f.  Stencil reads the same two lists.
     """
     k, r, nvars = cochain.k, data.r, data.nvars
     if cochain.r != r or cochain.nvars != nvars:
@@ -179,29 +200,11 @@ def differential(data: LieRinehartData, cochain: Cochain) -> Cochain:
         # top degree: there is nowhere to go, return the zero top cochain
         return Cochain.zero(r, r, nvars)
     out: dict[tuple[int, ...], Poly] = {}
-
-    def add(target: tuple[int, ...], power: int, term: Poly) -> None:
-        # out[target] += (-1)^power term
-        have = out.get(target)
-        if have is None:
-            out[target] = -term if power % 2 else term
-        else:
-            out[target] = have - term if power % 2 else have + term
-
     for tup, f in cochain.comps.items():
         for i, target, pos in data.anchor_targets(tup):
-            term = data.anchors[i].apply(f)
-            if term:
-                add(target, pos, term)
-        for q, l in enumerate(tup):
-            rest = tup[:q] + tup[q + 1:]
-            for (a, b), vec in data.sc.items():
-                c = vec[l]
-                if c and a not in rest and b not in rest:
-                    pa = bisect(rest, a)
-                    pb = bisect(rest, b)  # a < b, so b sits at pb + 1 in U
-                    target = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
-                    add(target, q + pa + pb + 1, c * f)
+            add_term(out, target, pos, data.anchors[i].apply(f))
+        for target, power, c in data.bracket_targets(tup):
+            add_term(out, target, power, c * f)
     return Cochain(k + 1, r, nvars, out)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from logpoisson import cohomology
+from logpoisson import cohomology, complexes
 from logpoisson.cohomology import (
     Coordinates,
     Echelon,
@@ -36,7 +36,7 @@ from logpoisson.complexes import (
     two_form_cochain,
 )
 from logpoisson.logforms import LogBasis
-from logpoisson.poisson import LogDivisorSpec, PoissonStructure
+from logpoisson.poisson import Derivation, LogDivisorSpec, PoissonStructure
 from logpoisson.poly import Poly
 from logpoisson.selfcheck import (
     XY,
@@ -180,26 +180,52 @@ def test_stencil_columns_match_engine_on_worked_structures():
 
 
 def test_stencil_is_read_off_the_engine(monkeypatch):
-    # d^k is compiled from one application per index tuple, for b, and a
-    # column is built without further calls
+    # d^k is compiled from the placement the engine pushes its terms
+    # through, read once per index tuple; neither the stencil nor its
+    # columns call the generic differential
     P, B = setup_xyz()
     L = log_poisson_complex(P, B)
-    calls = []
-    original = cohomology.differential
+    engine_calls, reads = [], Counter()
 
-    def counted(data, cochain):
-        calls.append(cochain.k)
-        return original(data, cochain)
+    def counted_engine(data, cochain):
+        engine_calls.append(cochain.k)
+        return differential(data, cochain)
 
-    monkeypatch.setattr(cohomology, "differential", counted)
+    for module in (cohomology, complexes):
+        monkeypatch.setattr(module, "differential", counted_engine)
+    for name in ("anchor_targets", "bracket_targets"):
+        def counted(data, tup, name=name, original=getattr(LieRinehartData, name)):
+            reads[name, tup] += 1
+            return original(data, tup)
+
+        monkeypatch.setattr(LieRinehartData, name, counted)
     stencil = Stencil(L, 1)
-    assert calls == [1] * 3
+    once = Counter({(name, (i,)): 1 for name in ("anchor_targets", "bracket_targets")
+                    for i in range(3)})
+    assert reads == once
     coords = Coordinates(L, 3 + L.degree_shift() + 1)
     column = stencil.compile(coords)
     for d in range(4):
         for src, tup, mono in coords.keys(1, d):
             column(src, tup, mono)
-    assert len(calls) == 3
+    assert reads == once and engine_calls == []
+
+
+def test_cancelled_bracket_terms_leave_no_stencil_term():
+    # on T = (0, 1) the brackets sc[(0, 2)] at 0 and sc[(1, 2)] at 1 both
+    # reach U = (0, 1, 2), where their x^2 cancels: b_U = 2 keeps degree 0,
+    # as anchor 1's d/dx on T = (0, 2) needs for a grading, and x^2 alone
+    # would not
+    x, zero, one = Poly.variable(1, 0), Poly.zero(1), Poly.const(1, 1)
+    anchors = (Derivation((zero,)), Derivation((one,)), Derivation((zero,)))
+
+    def data(extra):
+        sc = {(0, 2): (one + extra, zero, zero), (1, 2): (zero, one - extra, zero)}
+        return LieRinehartData(1, 3, anchors, sc)
+
+    stencil, without = Stencil(data(x * x), 2), Stencil(data(zero), 2)
+    assert stencil.terms == without.terms
+    assert stencil.reach == without.reach == 1
 
 
 @settings(max_examples=12, deadline=None)
