@@ -422,12 +422,15 @@ class _Pass:
         self.k, self.max_degree, self.coords, self.cocycles = k, plan.D, plan.coords, set()
         self.tracked = k == plan.tracked
         self.column, self.ech = stencil.compile(plan.coords), Echelon()
-        self.pivots = [0] * (plan.D + 1)
+        # sized by the first feed, which the plan's window gate precedes
+        self.pivots: list[int] = []
         self.kernel: list[int] = []
         self.images: dict[int, list[int]] = {}
         self.sources, self.fed = 0, -1
 
     def feed(self, upto: int) -> None:
+        if not self.pivots:
+            self.pivots = [0] * (self.max_degree + 1)
         k, max_degree, coords, column, ech, cocycles, pivots, scale, tracked = (
             self.k, self.max_degree, self.coords, self.column, self.ech, self.cocycles,
             self.pivots, self.stencil.scale, self.tracked)

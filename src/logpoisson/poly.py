@@ -1,8 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in n variables is stored as a map from exponent tuples to
-nonzero Fraction coefficients; the zero polynomial is the empty map, so
-two polynomials are equal exactly when their term maps are equal.
+nonzero coefficients, each in one canonical form (_canon): an int when
+the value is integral, a Fraction only where its denominator is above 1.
+The zero polynomial is the empty map, so two polynomials are equal
+exactly when their term maps are equal.
 
 Degree always means total degree.  Where a term order matters (exact
 division, printing) we use graded lexicographic order in the declared
@@ -73,7 +75,7 @@ class Poly:
     def __init__(self, nvars: int, terms: Optional[Mapping[Monomial, Scalar]] = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        canon: dict[Monomial, Fraction] = {}
+        canon: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
                 if len(mono) != nvars:
@@ -89,7 +91,7 @@ class Poly:
                     raise TypeError(
                         f"coefficient {coeff!r} must be an int or a Fraction")
                 if coeff:
-                    canon[tuple(mono)] = Fraction(coeff)
+                    canon[tuple(mono)] = _canon(coeff)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", canon)
 
@@ -112,7 +114,7 @@ class Poly:
             raise IndexError(f"variable index {index} out of range for {nvars} variables")
         expo = [0] * nvars
         expo[index] = 1
-        return cls(nvars, {tuple(expo): Fraction(1)})
+        return _trusted(nvars, {tuple(expo): 1})
 
     @classmethod
     def monomial(cls, nvars: int, expo: Monomial, coeff: Scalar = 1) -> "Poly":
@@ -135,8 +137,8 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coefficient(self, mono: Monomial) -> Scalar:
+        return self.terms.get(tuple(mono), 0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -167,7 +169,7 @@ class Poly:
         for mono, coeff in other.terms.items():
             c = out.get(mono, 0) + coeff
             if c:
-                out[mono] = c
+                out[mono] = _canon(c)
             else:
                 del out[mono]
         return _trusted(self.nvars, out)
@@ -193,17 +195,16 @@ class Poly:
         if _is_scalar(other):
             if not other:
                 return _trusted(self.nvars, {})
-            c = Fraction(other)
-            return _trusted(self.nvars, {m: v * c for m, v in self.terms.items()})
+            return _trusted(self.nvars, {m: _canon(v * other) for m, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = monomial_mul(ma, mb)
                 out[mono] = out.get(mono, 0) + ca * cb
-        return _trusted(self.nvars, {m: c for m, c in out.items() if c})
+        return _trusted(self.nvars, {m: _canon(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -221,14 +222,14 @@ class Poly:
         """Formal partial derivative with respect to variable `index`."""
         if not 0 <= index < self.nvars:
             raise IndexError(f"variable index {index} out of range")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
             e = mono[index]
             if e == 0:
                 continue
             lowered = list(mono)
             lowered[index] = e - 1
-            out[tuple(lowered)] = coeff * e
+            out[tuple(lowered)] = _canon(coeff * e)
         return _trusted(self.nvars, out)
 
     def leading_monomial(self) -> Monomial:
@@ -253,19 +254,19 @@ class Poly:
         lm = divisor.leading_monomial()
         lc = divisor.terms[lm]
         rem = dict(self.terms)
-        quot: dict[Monomial, Fraction] = {}
+        quot: dict[Monomial, Scalar] = {}
         while rem:
             m = max(rem, key=_grlex)
             if not monomial_divides(lm, m):
                 return None
             qm = monomial_div(m, lm)
-            qc = rem[m] / lc
+            qc = _canon(Fraction(rem[m], lc))  # exact: never an int / int float
             quot[qm] = qc
             for dm, dc in divisor.terms.items():
                 t = monomial_mul(qm, dm)
-                nv = rem.get(t, Fraction(0)) - qc * dc
+                nv = rem.get(t, 0) - qc * dc
                 if nv:
-                    rem[t] = nv
+                    rem[t] = _canon(nv)
                 else:
                     rem.pop(t, None)
         # each step's quotient monomial is new: the remainder's leading
@@ -274,15 +275,23 @@ class Poly:
 
     # -- iteration helpers -------------------------------------------
 
-    def sorted_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         """Terms in descending graded-lex order (deterministic)."""
         for mono in sorted(self.terms, key=_grlex, reverse=True):
             yield mono, self.terms[mono]
 
 
-def _trusted(nvars: int, terms: dict[Monomial, Fraction]) -> Poly:
+def _canon(c: Scalar) -> Scalar:
+    # the one coefficient form: an int when the value is integral (an int
+    # subclass becomes a plain int), a Fraction only where a denominator exists
+    if c.denominator == 1:
+        return c.numerator
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _trusted(nvars: int, terms: dict[Monomial, Scalar]) -> Poly:
     # Poly without validation, for results of the arithmetic above:
-    # terms must already be canonical, nonzero Fractions on int exponent
+    # terms must already be nonzero and in _canon's form, on int exponent
     # tuples of length nvars, and are not copied.
     poly = object.__new__(Poly)
     object.__setattr__(poly, "nvars", nvars)
@@ -323,9 +332,12 @@ class ParseError(ValueError):
 # The parser rejects a power whose degree would exceed MAX_POWER_DEGREE,
 # and a power or product whose bound on the number of terms would exceed
 # MAX_TERMS, before expanding it.  A power or product at the term limit
-# expands in a few tenths of a second.
+# expands in a few tenths of a second.  Parentheses nested deeper than
+# MAX_NESTING are rejected before the parser's recursion reaches
+# Python's limit: each level takes four stack frames.
 MAX_POWER_DEGREE = 16
 MAX_TERMS = 5_000
+MAX_NESTING = 100
 
 _SYMBOLS = set("+-*/^()")
 
@@ -368,7 +380,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     def __init__(self, text: str, names: Sequence[str]):
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.pos = self.depth = 0
         self.names = list(names)
         self.nvars = len(self.names)
         self.index = {n: i for i, n in enumerate(self.names)}
@@ -464,14 +476,18 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator", at3)
                 return Poly.const(self.nvars, Fraction(num, den))
-            return Poly.const(self.nvars, num)
+            return _trusted(self.nvars, {(0,) * self.nvars: num} if num else {})
         if kind == "name":
             if val not in self.index:
                 raise ParseError(f"unknown variable {val!r}", at)
             return Poly.variable(self.nvars, self.index[val])
         if kind == "sym" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than the limit {MAX_NESTING}", at)
+            self.depth += 1
             poly = self.expr()
             self.expect_sym(")")
+            self.depth -= 1
             return poly
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", at)
 

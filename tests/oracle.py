@@ -23,7 +23,8 @@ XYZ = ["x", "y", "z"]
 
 
 def dense_rank(rows):
-    rows = [list(r) for r in rows if any(r)]
+    # Fractions throughout: an int entry divided by an int pivot is a float
+    rows = [[Fraction(a) for a in r] for r in rows if any(r)]
     if not rows:
         return 0
     ncols = len(rows[0])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 from collections import Counter
@@ -21,7 +22,8 @@ from logpoisson.cohomology import (
 from logpoisson.complexes import log_poisson_complex, two_form_cochain
 from logpoisson.logforms import LogBasis
 from logpoisson.poisson import PoissonStructure
-from logpoisson.poly import MAX_POWER_DEGREE, MAX_TERMS, ParseError, Poly, format_poly, parse_poly
+from logpoisson.poly import (MAX_NESTING, MAX_POWER_DEGREE, MAX_TERMS, ParseError, Poly,
+                             format_poly, parse_poly)
 from logpoisson.selfcheck import XY
 from conftest import ROOT, log_canonical, polys, src_env
 
@@ -536,13 +538,33 @@ def test_negative_window_flags_are_rejected(tmp_path, command, flag):
 
 @pytest.mark.parametrize("command", ["cohomology", "compare", "prequantize"])
 def test_window_past_the_basis_limit_is_rejected(tmp_path, command):
-    # the basis is counted before it is built, so this fails at once
-    # instead of exhausting memory
-    doc = dict(EX1, max_degree=100000)
-    code, out, err = run_main_err([command], doc, tmp_path)
-    assert code == cli.EXIT_PARSE_ERROR
-    assert out == ""
-    assert f"the limit is {MAX_BASIS_SIZE}" in err
+    # the basis is counted before anything that grows with the window is
+    # built, so this fails at once instead of exhausting memory: a list per
+    # degree would take 80 MB at 10**7, and 10**30 degrees fit no list
+    for max_degree in (100000, 10**7, 10**30):
+        doc = dict(EX1, max_degree=max_degree)
+        tracemalloc.start()
+        try:
+            code, out, err = run_main_err([command], doc, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_PARSE_ERROR
+        assert out == ""
+        assert f"the limit is {MAX_BASIS_SIZE}" in err
+        assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("depth", [250, 5000])
+def test_deeply_nested_parentheses_are_rejected(tmp_path, depth):
+    # each level is four frames of the recursive parser: past the nesting
+    # limit a document is refused before Python's recursion limit is hit
+    doc = dict(EX1, bracket={"x,y": "(" * depth + "x" + ")" * depth})
+    code, out, err = run_main_err(["check"], doc, tmp_path)
+    assert (code, out) == (cli.EXIT_PARSE_ERROR, "")
+    assert f"parentheses nested deeper than the limit {MAX_NESTING}" in err
+    assert f"(at position {MAX_NESTING})" in err
+    assert "Traceback" not in err
 
 
 def test_a_graded_window_counts_only_the_sources_its_passes_build():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from logpoisson.poly import (
+    MAX_NESTING,
     MAX_POWER_DEGREE,
     MAX_TERMS,
     ParseError,
@@ -63,6 +64,19 @@ def test_exact_div_nontrivial_divisor():
     f = p2("x^2 - y^2")
     assert f.exact_div(p2("x - y")) == p2("x + y")
     assert f.exact_div(p2("x + 2*y")) is None
+
+
+def test_exact_div_non_monic():
+    # leading coefficients 2 and 3/2: the quotient's denominators come
+    # from the division, and an integral quotient term is an int
+    for g in (p2("2*x^2 + y - 1"), p2("3/2*x*y + 1/3*y")):
+        for q in (p2("1/2*x + 3*y - 5/7"), p2("x^2 - 2/3*y"), p2("x + 1")):
+            got = (q * g).exact_div(g)
+            assert got == q
+            assert_canonical(got, 2)
+            assert {m: type(c) for m, c in got.terms.items()} == \
+                {m: type(c) for m, c in q.terms.items()}
+    assert p2("x").exact_div(p2("2*x")) == Poly.const(2, Fraction(1, 2))
 
 
 def test_monomials_of_degree():
@@ -166,19 +180,25 @@ def test_constructor_rejects_coercible_input():
         with pytest.raises(TypeError):
             op()
     assert x != True and Poly.const(1, 1) != True
-    p = Poly(2, {(1, 0): 2, (0, 1): Fraction(1, 3), (1, 1): 0})
-    assert p.terms == {(1, 0): Fraction(2), (0, 1): Fraction(1, 3)}
-    assert all(type(c) is Fraction for c in p.terms.values())
+    p = Poly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (1, 1): 0, (2, 0): 5})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 3), (2, 0): 5}
+    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+
+
+def is_canonical_coefficient(c) -> bool:
+    """A nonzero int, or a Fraction whose denominator is above 1."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
 
 
 def assert_canonical(p: Poly, nvars: int):
-    """Nonzero Fractions on int exponent tuples of length nvars, and the
-    same polynomial as the validating constructor builds from them."""
+    """Canonical nonzero coefficients on int exponent tuples of length
+    nvars, and the same polynomial as the validating constructor builds
+    from them."""
     assert p.nvars == nvars
     for mono, coeff in p.terms.items():
         assert type(mono) is tuple and len(mono) == nvars
         assert all(type(e) is int and e >= 0 for e in mono)
-        assert type(coeff) is Fraction and coeff != 0
+        assert is_canonical_coefficient(coeff), coeff
     assert p == Poly(nvars, p.terms)
 
 
@@ -192,6 +212,46 @@ def test_arithmetic_results_are_canonical(f, g, c):
     for p in results:
         if p is not None:  # f is not a multiple of g
             assert_canonical(p, 2)
+
+
+# a polynomial of degree <= 4 in each of two variables that vanishes on
+# a 5 x 5 grid is zero, so agreeing there is agreeing as polynomials
+GRID = [(Fraction(a), Fraction(b)) for a in (-2, Fraction(-1, 2), 0, Fraction(1, 3), Fraction(3, 2))
+        for b in (-1, Fraction(-2, 3), 0, Fraction(1, 2), 2)]
+
+
+def value(p: Poly, point) -> Fraction:
+    """p at a rational point, in Fraction arithmetic alone."""
+    return sum((Fraction(c) * math.prod(x ** e for x, e in zip(point, mono))
+                for mono, c in p.terms.items()), Fraction(0))
+
+
+def partial_value(p: Poly, j: int, point) -> Fraction:
+    """d p / d x_j at a rational point, in Fraction arithmetic alone."""
+    return sum((Fraction(c) * mono[j] * math.prod(x ** (e - (i == j))
+                                                  for i, (x, e) in enumerate(zip(point, mono)))
+                for mono, c in p.terms.items() if mono[j]), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=polys(2), g=polys(2),
+       c=st.sampled_from([0, 1, -2, Fraction(4, 2), Fraction(3, 4), Fraction(-5, 3)]))
+def test_arithmetic_matches_a_fraction_reference(f, g, c):
+    results = {"sum": f + g, "difference": f - g, "product": f * g,
+               "scaled": f * c, "rscaled": c * f, "dx": f.partial(0), "dy": f.partial(1)}
+    if g:
+        results["quotient"] = (f * g).exact_div(g)
+        results["division"] = f.exact_div(g)
+    for point in GRID:
+        F, G = value(f, point), value(g, point)
+        want = {"sum": F + G, "difference": F - G, "product": F * G,
+                "scaled": F * c, "rscaled": F * c, "dx": partial_value(f, 0, point),
+                "dy": partial_value(f, 1, point), "quotient": F}
+        for name, p in results.items():
+            if name == "division":
+                assert p is None or value(p, point) * G == F
+            else:
+                assert value(p, point) == want[name], name
 
 
 def test_parse_whitespace_insensitive():
@@ -250,6 +310,16 @@ def test_parse_errors_carry_position():
     assert len(p2("(x+y+1)^16*(x+y+1)^16").terms) == 561
     assert p2("0*(x+y+1)^16").is_zero()
     assert parse_poly("0*0", "x").is_zero()
+
+
+def test_parse_nesting_limit():
+    deepest = "(" * MAX_NESTING + "x - 1/2" + ")" * MAX_NESTING
+    assert p2(deepest) == p2("x - 1/2")
+    # parentheses side by side are not nested
+    assert p2(f"{deepest}^2*y + {deepest}") == p2("(x - 1/2)^2*y + x - 1/2")
+    with pytest.raises(ParseError, match=f"nested deeper than the limit {MAX_NESTING}") as err:
+        p2("y*(" + deepest + ")")
+    assert err.value.position == 2 + MAX_NESTING
 
 
 def test_format_round_trip(rng):
