@@ -23,9 +23,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cohomology import (
     CohomologyTable,
@@ -63,8 +62,7 @@ class SpecError(ValueError):
     """Problem document rejected (syntax, names, duplicate keys)."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     variables: tuple[str, ...]
     bracket: tuple[tuple[int, int, Poly], ...]  # (i, j, {x_i, x_j}) with i < j
     log_generators: tuple[Poly, ...]

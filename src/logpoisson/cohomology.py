@@ -60,17 +60,16 @@ affine form c0 + sum_j c_j m_j per offset from its source key
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import Cochain, LieRinehartData, add_term, differential
 from .logforms import LogBasis
 from .poisson import PoissonStructure
-from .poly import Poly, monomials_of_degree
+from .poly import Poly, _Record, monomials_of_degree
 
 # a coordinate of the sliced cochain space, as callers see it
 Key = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -95,25 +94,24 @@ class WindowTooLarge(ValueError):
     """A window whose cochain basis exceeds MAX_BASIS_SIZE."""
 
 
-@dataclass(frozen=True)
-class SliceWindow:
+class SliceWindow(_Record):
     """Reporting degree D plus the extra source degrees used for images.
 
     buffer=None means the per-complex default: the maximal degree shift
     of the differential (clamped at zero) plus two.
     """
 
-    max_degree: int
-    buffer: Optional[int] = None
+    __slots__ = ("max_degree", "buffer")
 
-    def __post_init__(self):
+    def __init__(self, max_degree: int, buffer: Optional[int] = None):
         # the one rule for window values, from the API and from documents;
         # bool is an int subclass but never a degree
-        for name, value in (("max_degree", self.max_degree), ("buffer", self.buffer)):
+        for name, value in (("max_degree", max_degree), ("buffer", buffer)):
             if value is None and name == "buffer":
                 continue
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"'{name}' must be a nonnegative integer")
+        self._init(max_degree, buffer)
 
     def resolve_buffer(self, data: LieRinehartData) -> int:
         if self.buffer is not None:
@@ -459,8 +457,7 @@ class _Pass:
         return self.kernel, [self.images[limit] for limit in self.limits]
 
 
-@dataclass(frozen=True)
-class DegreeDim:
+class DegreeDim(NamedTuple):
     degree: int
     dim: int
     cumulative: int
@@ -479,8 +476,7 @@ def _degree_rows(kernel: list[int], image: list[int],
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """Per (k, degree) dimensions with stabilization flags."""
 
     complex_name: str
@@ -650,8 +646,7 @@ def compute_table(data: LieRinehartData, ks: Iterable[int],
     return _Plan(data, ks, window).table()
 
 
-@dataclass(frozen=True)
-class TableDiff:
+class TableDiff(NamedTuple):
     equal: bool
     mismatches: tuple[tuple[int, int, int, int], ...]  # (k, d, dim1, dim2)
 

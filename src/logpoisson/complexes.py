@@ -13,37 +13,33 @@ by strictly increasing k-tuples of basis indices.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Optional, Union
 
 from .logforms import LogBasis, OneForm, log_hamiltonian_matrix, pair_scalar, poly_det
 from .poisson import Derivation, PoissonStructure
-from .poly import Poly, Scalar, _trusted
+from .poly import Poly, Scalar, _Record, _trusted
 
 
-@dataclass(frozen=True)
-class LieRinehartData:
+class LieRinehartData(_Record):
     """Basis size, anchor derivations and structure-constant table.
 
     sc[(i, j)] for i < j holds the coefficient vector of the bracket of
     basis elements i and j; missing pairs mean the bracket vanishes.
     """
 
-    nvars: int
-    r: int
-    anchors: tuple[Derivation, ...]
-    sc: Mapping[tuple[int, int], tuple[Poly, ...]]
-    name: str = ""
+    __slots__ = ("nvars", "r", "anchors", "sc", "name")
 
-    def __post_init__(self):
-        if len(self.anchors) != self.r:
+    def __init__(self, nvars: int, r: int, anchors: tuple[Derivation, ...],
+                 sc: Mapping[tuple[int, int], tuple[Poly, ...]], name: str = ""):
+        if len(anchors) != r:
             raise ValueError("need one anchor per basis element")
-        for (i, j), vec in self.sc.items():
-            if not 0 <= i < j < self.r:
+        for (i, j), vec in sc.items():
+            if not 0 <= i < j < r:
                 raise ValueError(f"structure constant key {(i, j)} out of range")
-            if len(vec) != self.r:
+            if len(vec) != r:
                 raise ValueError("structure constant vector has wrong length")
+        self._init(nvars, r, anchors, sc, name)
 
     def degree_shift(self) -> int:
         """Largest total-degree increase the differential can cause,
@@ -215,7 +211,7 @@ def poisson_complex(structure: PoissonStructure) -> LieRinehartData:
     """Complex on exact one-forms: the logarithmic Poisson complex along
     the empty divisor, where every basis weight is 1."""
     data = log_poisson_complex(structure, LogBasis.all_exact(structure.n))
-    return replace(data, name="poisson")
+    return LieRinehartData(data.nvars, data.r, data.anchors, data.sc, "poisson")
 
 
 def log_poisson_complex(structure: PoissonStructure, basis: LogBasis,

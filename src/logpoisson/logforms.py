@@ -16,11 +16,10 @@ the matrix of pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .poisson import Derivation, LogDivisorSpec, PoissonStructure
-from .poly import Poly, Scalar
+from .poly import Poly, Scalar, _Record
 
 
 class DivisionObstruction(ArithmeticError):
@@ -32,8 +31,7 @@ class DivisionObstruction(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class BasisForm:
+class BasisForm(NamedTuple):
     """The form dx_j/h with weight h = x_j when is_log, else h = 1."""
 
     index: int
@@ -55,8 +53,7 @@ class BasisForm:
         return f"d{name}/{name}" if self.is_log else f"d{name}"
 
 
-@dataclass(frozen=True)
-class LogBasis:
+class LogBasis(NamedTuple):
     """Ordered basis of the logarithmic one-forms, one form per variable."""
 
     forms: tuple[BasisForm, ...]
@@ -78,11 +75,13 @@ class LogBasis:
         return [f.label(names) for f in self.forms]
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(_Record):
     """sum_i coeffs[i] * basis form i."""
 
-    coeffs: tuple[Poly, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Poly, ...]):
+        self._init(coeffs)
 
     @classmethod
     def zero(cls, n: int, nvars: int) -> "OneForm":
@@ -158,8 +157,7 @@ def poly_det(matrix: Sequence[Sequence[Poly]], nvars: int) -> Poly:
     return total
 
 
-@dataclass(frozen=True)
-class LogSymplecticReport:
+class LogSymplecticReport(NamedTuple):
     is_log_symplectic: bool
     determinant: Poly
 

@@ -8,17 +8,18 @@ stored.  Everything here is pure and immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .poly import Poly, _trusted
+from .poly import Poly, _Record, _trusted
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Record):
     """The derivation sum_j coeffs[j] * d/dx_j."""
 
-    coeffs: tuple[Poly, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Poly, ...]):
+        self._init(coeffs)
 
     @property
     def nvars(self) -> int:
@@ -141,8 +142,7 @@ class UnsupportedDivisor(ValueError):
     """Divisor generator outside the supported c * x_j^m shape."""
 
 
-@dataclass(frozen=True)
-class LogDivisorSpec:
+class LogDivisorSpec(NamedTuple):
     """Declared divisor generators with their square-free normalization."""
 
     generators: tuple[Poly, ...]
@@ -171,15 +171,13 @@ class LogDivisorSpec:
         return cls(gens, tuple(variables))
 
 
-@dataclass(frozen=True)
-class LogPrincipalFailure:
+class LogPrincipalFailure(NamedTuple):
     generator_var: int  # index k: the bracket {x_k, x_j} that obstructed
     divisor_var: int    # index j of the divisor variable
     bracket: Poly       # the offending {x_k, x_j}
 
 
-@dataclass(frozen=True)
-class LogPrincipalReport:
+class LogPrincipalReport(NamedTuple):
     ok: bool
     failures: tuple[LogPrincipalFailure, ...]
 

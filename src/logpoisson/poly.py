@@ -102,7 +102,9 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        if nvars < 1:
+            raise ValueError("need at least one variable")
+        return _trusted(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "Poly":
@@ -309,6 +311,39 @@ def _coerce(value, nvars: int):
     if _is_scalar(value):
         return Poly.const(nvars, value)
     return NotImplemented
+
+
+class _Record:
+    """Base of the immutable records that must not act as tuples, since
+    they validate or do arithmetic: equality, hash and repr go by the
+    fields named in __slots__, in order, and _init sets each field once."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 # -- textual syntax ---------------------------------------------------

@@ -25,9 +25,8 @@ d(d(c)) = 0, which the first suite would flag.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cohomology import SliceWindow, euler_primitive, find_primitive
 from .complexes import (
@@ -48,8 +47,7 @@ XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     cases: int
@@ -116,7 +114,8 @@ def _all_complexes(mutate: bool = False) -> list[LieRinehartData]:
             log = _mutate_sc(log)
         elif mutate and poi.sc:
             poi = _mutate_sc(poi)
-        out.extend(replace(data, name=f"{data.name} of {_describe(P, B)}")
+        out.extend(LieRinehartData(data.nvars, data.r, data.anchors, data.sc,
+                                   f"{data.name} of {_describe(P, B)}")
                    for data in (log, poi, log_derham_complex(B)))
     return out
 

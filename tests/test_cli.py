@@ -465,6 +465,16 @@ def test_package_exports_resolve_once_in_sorted_order():
     assert [n for n in names if n not in star] == []
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # records cost nothing to declare; a bare interpreter loads neither module
+    code = ("import sys, logpoisson, logpoisson.cli, logpoisson.selfcheck;"
+            " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_output_is_deterministic(tmp_path):
     first = run_main(["cohomology", "--complex", "poisson", "--k", "0..2",
                       "--format", "json"], EX2, tmp_path)

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from logpoisson.cohomology import Coordinates, Stencil
+from logpoisson.cohomology import Coordinates, DegreeDim, SliceWindow, Stencil
 from logpoisson.complexes import (
     Cochain,
+    LieRinehartData,
     differential,
     log_derham_complex,
     log_hamiltonian_cochain_map,
@@ -209,6 +210,62 @@ def test_degree_shift():
     P3, B3 = setup_xyz()
     assert log_poisson_complex(P3, B3).degree_shift() == 1
     assert poisson_complex(P3).degree_shift() == 2
+
+
+# -- records -------------------------------------------------------------
+
+
+def test_slots_records_are_immutable_values():
+    c = (p2("x"), p2("y"))
+    anchors = log_poisson_complex(*setup_x()).anchors
+    # (record, an equal one built apart, a field, how its repr starts and ends)
+    cases = [
+        (Derivation(c), Derivation((p2("x"), p2("y"))), "coeffs",
+         "Derivation(coeffs=(Poly(2, ", "})))"),
+        (OneForm(c), OneForm((p2("x"), p2("y"))), "coeffs",
+         "OneForm(coeffs=(Poly(2, ", "})))"),
+        (LieRinehartData(2, 2, anchors, {}, "log"), LieRinehartData(2, 2, anchors, {}, "log"),
+         "sc", "LieRinehartData(nvars=2, r=2, anchors=(Derivation(coeffs=", "sc={}, name='log')"),
+        (SliceWindow(4, 2), SliceWindow(4, 2), "buffer",
+         "SliceWindow(", "max_degree=4, buffer=2)"),
+    ]
+    for a, b, field, head, tail in cases:
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == b and not a != b
+        assert repr(a).startswith(head) and repr(a).endswith(tail)
+    for args, message in (((2, 1, anchors, {}), "one anchor per basis element"),
+                          ((2, 2, anchors, {(1, 0): c}), r"key \(1, 0\) out of range"),
+                          ((2, 2, anchors, {(0, 1): c[:1]}), "wrong length")):
+        with pytest.raises(ValueError, match=message):
+            LieRinehartData(*args)
+    # hash by field: a Poly or dict field leaves the record unhashable, as Poly is
+    assert hash(SliceWindow(4, 2)) == hash(SliceWindow(4, 2))
+    assert SliceWindow(4, 2) != SliceWindow(4) and SliceWindow(4) == SliceWindow(4, None)
+    for a in (Derivation(c), OneForm(c), LieRinehartData(2, 2, anchors, {})):
+        with pytest.raises(TypeError):
+            hash(a)
+    # no tuple semantics: a derivation is not a one-form, and neither is a tuple
+    assert Derivation(c) != OneForm(c) and OneForm(c) != c
+    assert OneForm(c) + OneForm(c) == OneForm((p2("2*x"), p2("2*y")))
+    for op in (lambda: OneForm(c) * 2, lambda: Derivation(c) + Derivation(c)):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_named_tuple_records_are_immutable_tuples():
+    row = DegreeDim(0, 1, 1, True)
+    basis = LogBasis.all_exact(2)
+    for record, field in ((row, "dim"), (basis, "forms"), (basis.forms[0], "index")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert row == (0, 1, 1, True) and row.dim == 1
+    degree, dim, cumulative, stabilized = row
+    assert (degree, dim, cumulative, stabilized) == (0, 1, 1, True)
 
 
 # -- closed-form operators ---------------------------------------------

@@ -185,6 +185,13 @@ def test_constructor_rejects_coercible_input():
     assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
 
 
+def test_zero_keeps_its_variable_check():
+    assert Poly.zero(3) == Poly(3) and Poly.zero(3).terms == {} and Poly.zero(3).nvars == 3
+    for nvars in (0, -1):
+        with pytest.raises(ValueError, match="at least one variable"):
+            Poly.zero(nvars)
+
+
 def is_canonical_coefficient(c) -> bool:
     """A nonzero int, or a Fraction whose denominator is above 1."""
     return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
